@@ -22,10 +22,11 @@ fmt:
 
 # Short race pass over the packages with real concurrency: the distributed
 # build cluster, the dataflow engine, the live ingestion engine, the
-# snapshot-serving inventory, the observability middleware and the stream
-# monitor.
+# snapshot-serving inventory, the observability middleware and tracer, the
+# replica client, the parallel segment writer, the shared-sketch encoders
+# and the stream monitor.
 race:
-	$(GO) test -race -count=1 -timeout 20m ./internal/cluster/ ./internal/dataflow/ ./internal/ingest/ ./internal/inventory/ ./internal/obs/ ./internal/replica/ ./internal/segment/ ./internal/stream/
+	$(GO) test -race -count=1 -timeout 20m ./internal/cluster/ ./internal/dataflow/ ./internal/ingest/ ./internal/inventory/ ./internal/obs/ ./internal/obs/trace/ ./internal/replica/ ./internal/segment/ ./internal/stats/ ./internal/stream/
 
 # One-iteration smokes: the snapshot-publish benchmark and the columnar
 # segment write/open/lookup round trip — they catch serving-path

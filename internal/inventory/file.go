@@ -205,11 +205,12 @@ func writeTo(inv *Inventory, w io.Writer) (int64, error) {
 	var buf []byte
 	for _, e := range entries {
 		index = append(index, idxEntry{keyEnc: e.keyEnc, offset: uint64(written)})
-		buf = buf[:0]
-		buf = append(buf, e.keyEnc[:]...)
-		body := e.summary.AppendBinary(nil)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
-		buf = append(buf, body...)
+		// key | body length | body, the length patched in once the body
+		// is encoded in place.
+		buf = append(buf[:0], e.keyEnc[:]...)
+		buf = append(buf, 0, 0, 0, 0)
+		buf = e.summary.AppendBinary(buf)
+		binary.LittleEndian.PutUint32(buf[keyBytes:], uint32(len(buf)-keyBytes-4))
 		if err := emit(buf); err != nil {
 			return written, err
 		}

@@ -1,6 +1,9 @@
 package inventory
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"os"
@@ -419,6 +422,47 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 	if have.Ships.Estimate() != want.Ships.Estimate() {
 		t.Error("ships sketch differs after file round trip")
+	}
+}
+
+// pinnedFileSHA256 is the SHA-256 of TestFilePinnedBytes' POLINV file as
+// written by the original encoder, which built every summary in a fresh
+// buffer. Any change to the file bytes breaks it.
+const pinnedFileSHA256 = "5021727691b043f79e75bb65956f4ff09f7a8b7d2d54c165a3beec2bb35eb5d1"
+
+// TestFilePinnedBytes pins the POLINV writer's output (BuiltUnix is zero
+// in the fixture) over sparse sketches plus two cells whose distinct-ship
+// counts take the dense run-length and the raw HLL layouts.
+func TestFilePinnedBytes(t *testing.T) {
+	inv, _ := buildTestInventory(t, 6)
+	rng := rand.New(rand.NewSource(11))
+	far := hexgrid.LatLngToCell(geo.LatLng{Lat: 40, Lng: -20}, 6)
+	for i, ships := range []int{300, 3000} {
+		c := far.Neighbors()[i]
+		s := NewCellSummary()
+		for j := 0; j < ships; j++ {
+			s.Add(obs(rng, c, uint32(300000000+j), uint64(j), 1, 4))
+		}
+		inv.Put(NewGroupKey(GSCell, c, 0, 0, 0), s)
+	}
+	path := filepath.Join(t.TempDir(), "pinned.polinv")
+	if err := WriteFile(inv, path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != pinnedFileSHA256 {
+		t.Fatalf("POLINV SHA-256 %s, want %s", got, pinnedFileSHA256)
+	}
+	wire, err := Marshal(inv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wire, data) {
+		t.Fatal("Marshal bytes differ from the file")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -23,6 +24,9 @@ var (
 func fixture(tb testing.TB) *inventory.Inventory {
 	tb.Helper()
 	fixOnce.Do(func() {
+		// Build at a fixed parallelism: the pipeline's output depends on
+		// its partition count, and the writer tests pin the file bytes.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 		fixInv = testutil.Build(tb, sim.Config{Vessels: 12, Days: 12, Seed: 42}, 6).Inventory
 	})
 	return fixInv

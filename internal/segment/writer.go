@@ -7,7 +7,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"github.com/patternsoflife/pol/internal/fault"
 	"github.com/patternsoflife/pol/internal/inventory"
@@ -71,24 +74,37 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// writeTo streams the encoded segment.
+// entry is one group bucketed into its shard.
+type entry struct {
+	keyEnc  [inventory.EncodedKeyLen]byte
+	set     inventory.GroupSet
+	summary *inventory.CellSummary
+}
+
+// encodedBlock is one shard block as an encoding worker hands it to the
+// emitter: everything but the file offset and the CRC.
+type encodedBlock struct {
+	info BlockInfo
+	comp *bytes.Buffer
+	err  error
+}
+
+// writeTo streams the encoded segment. Groups are bucketed into their
+// shards here; the non-empty shards are then sorted, column-encoded and
+// compressed on GOMAXPROCS workers, while this goroutine emits the
+// finished blocks strictly in shard order — so the bytes are exactly
+// those of encoding the shards one after another.
 func writeTo(v inventory.View, w *crcWriter) (WriteStats, error) {
 	var st WriteStats
 
-	// Bucket the groups into their shards; sort each shard by encoded key
-	// so the key column is binary-searchable.
-	type entry struct {
-		keyEnc  [inventory.EncodedKeyLen]byte
-		set     inventory.GroupSet
-		summary *inventory.CellSummary
-	}
 	var shards [inventory.ShardCount][]entry
+	var kb []byte
 	v.Each(func(k inventory.GroupKey, s *inventory.CellSummary) bool {
-		var e entry
-		copy(e.keyEnc[:], inventory.AppendKey(nil, k))
-		e.set = k.Set
-		e.summary = s
-		shards[inventory.ShardOf(k)] = append(shards[inventory.ShardOf(k)], e)
+		e := entry{set: k.Set, summary: s}
+		kb = inventory.AppendKey(kb[:0], k)
+		copy(e.keyEnc[:], kb)
+		si := inventory.ShardOf(k)
+		shards[si] = append(shards[si], e)
 		st.Groups++
 		return true
 	})
@@ -108,74 +124,71 @@ func writeTo(v inventory.View, w *crcWriter) (WriteStats, error) {
 		return st, fmt.Errorf("segment: header: %w", err)
 	}
 
-	var (
-		blocks []BlockInfo
-		raw    []byte
-		comp   bytes.Buffer
-	)
+	var work []int // non-empty shard ids, ascending
 	for si := range shards {
-		es := shards[si]
-		if len(es) == 0 {
-			continue
+		if len(shards[si]) > 0 {
+			work = append(work, si)
 		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(work))
+	// Each block in flight holds one compressed-output buffer; a worker
+	// takes one before claiming a shard and the emitter returns it once
+	// the block is written, so workers run at most this far ahead.
+	free := make(chan *bytes.Buffer, 2*workers)
+	for i := 0; i < cap(free); i++ {
+		free <- new(bytes.Buffer)
+	}
+	done := make([]chan encodedBlock, len(work))
+	for j := range done {
+		done[j] = make(chan encodedBlock, 1)
+	}
+	var next atomic.Int64 // next index into work to claim
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var enc shardEncoder
+			for {
+				var comp *bytes.Buffer
+				select {
+				case comp = <-free:
+				case <-stop:
+					return
+				}
+				j := int(next.Add(1)) - 1
+				if j >= len(work) {
+					return
+				}
+				done[j] <- enc.encode(work[j], shards[work[j]], comp)
+			}
+		}()
+	}
+
+	var blocks []BlockInfo
+	for j, si := range work {
 		if err := fault.Hit(FPWriteBlock); err != nil {
 			return st, fmt.Errorf("segment: block %d: %w", si, err)
 		}
-		sort.Slice(es, func(i, j int) bool {
-			return bytes.Compare(es[i].keyEnc[:], es[j].keyEnc[:]) < 0
-		})
-
-		// Columns: keys | records | offsets | blob.
-		raw = raw[:0]
-		raw = binary.LittleEndian.AppendUint32(raw, uint32(len(es)))
-		for i := range es {
-			raw = append(raw, es[i].keyEnc[:]...)
+		b := <-done[j]
+		if b.err != nil {
+			return st, b.err
 		}
-		for i := range es {
-			raw = binary.LittleEndian.AppendUint64(raw, es[i].summary.Records)
-		}
-		// Encode summaries once into the blob, tracking offsets.
-		offs := make([]uint32, 0, len(es)+1)
-		var blob []byte
-		for i := range es {
-			offs = append(offs, uint32(len(blob)))
-			blob = es[i].summary.AppendBinary(blob)
-		}
-		offs = append(offs, uint32(len(blob)))
-		for _, o := range offs {
-			raw = binary.LittleEndian.AppendUint32(raw, o)
-		}
-		raw = append(raw, blob...)
-
-		comp.Reset()
-		fw, err := flate.NewWriter(&comp, flate.DefaultCompression)
-		if err != nil {
-			return st, fmt.Errorf("segment: flate: %w", err)
-		}
-		if _, err := fw.Write(raw); err != nil {
-			return st, fmt.Errorf("segment: compress shard %d: %w", si, err)
-		}
-		if err := fw.Close(); err != nil {
-			return st, fmt.Errorf("segment: compress shard %d: %w", si, err)
-		}
-
-		bi := BlockInfo{
-			Shard:   si,
-			Off:     w.n,
-			CompLen: uint32(comp.Len()),
-			RawLen:  uint32(len(raw)),
-			CRC:     CRC(comp.Bytes()),
-			NGroups: uint32(len(es)),
-		}
-		for i := range es {
-			bi.NSet[es[i].set-inventory.GSCell]++
-		}
-		if _, err := w.Write(comp.Bytes()); err != nil {
+		bi := b.info
+		bi.Off = w.n
+		bi.CRC = CRC(b.comp.Bytes())
+		if _, err := w.Write(b.comp.Bytes()); err != nil {
 			return st, fmt.Errorf("segment: shard %d: %w", si, err)
 		}
+		free <- b.comp
 		blocks = append(blocks, bi)
 		st.Blocks++
-		st.RawBytes += int64(len(raw))
+		st.RawBytes += int64(bi.RawLen)
 	}
 
 	if err := fault.Hit(FPWriteIndex); err != nil {
@@ -211,4 +224,66 @@ func writeTo(v inventory.View, w *crcWriter) (WriteStats, error) {
 		return st, fmt.Errorf("segment: tail: %w", err)
 	}
 	return st, nil
+}
+
+// shardEncoder is one worker's reusable state: the raw column buffer and
+// the flate writer, reset onto each block's output buffer.
+type shardEncoder struct {
+	raw []byte
+	fw  *flate.Writer
+}
+
+// encode sorts one shard by encoded key — so the key column is
+// binary-searchable — lays out its columns and compresses them into comp.
+func (enc *shardEncoder) encode(si int, es []entry, comp *bytes.Buffer) encodedBlock {
+	slices.SortFunc(es, func(a, b entry) int { return bytes.Compare(a.keyEnc[:], b.keyEnc[:]) })
+
+	// Columns: keys | records | offsets | blob. The summaries are encoded
+	// straight into the blob, and the offset column, reserved ahead of
+	// it, is filled in afterwards.
+	raw := enc.raw[:0]
+	raw = binary.LittleEndian.AppendUint32(raw, uint32(len(es)))
+	for i := range es {
+		raw = append(raw, es[i].keyEnc[:]...)
+	}
+	for i := range es {
+		raw = binary.LittleEndian.AppendUint64(raw, es[i].summary.Records)
+	}
+	offsAt := len(raw)
+	raw = append(raw, make([]byte, 4*(len(es)+1))...)
+	blobAt := len(raw)
+	for i := range es {
+		binary.LittleEndian.PutUint32(raw[offsAt+4*i:], uint32(len(raw)-blobAt))
+		raw = es[i].summary.AppendBinary(raw)
+	}
+	binary.LittleEndian.PutUint32(raw[offsAt+4*len(es):], uint32(len(raw)-blobAt))
+	enc.raw = raw
+
+	comp.Reset()
+	if enc.fw == nil {
+		fw, err := flate.NewWriter(comp, flate.DefaultCompression)
+		if err != nil {
+			return encodedBlock{err: fmt.Errorf("segment: flate: %w", err)}
+		}
+		enc.fw = fw
+	} else {
+		enc.fw.Reset(comp)
+	}
+	if _, err := enc.fw.Write(raw); err != nil {
+		return encodedBlock{err: fmt.Errorf("segment: compress shard %d: %w", si, err)}
+	}
+	if err := enc.fw.Close(); err != nil {
+		return encodedBlock{err: fmt.Errorf("segment: compress shard %d: %w", si, err)}
+	}
+
+	b := encodedBlock{comp: comp, info: BlockInfo{
+		Shard:   si,
+		CompLen: uint32(comp.Len()),
+		RawLen:  uint32(len(raw)),
+		NGroups: uint32(len(es)),
+	}}
+	for i := range es {
+		b.info.NSet[es[i].set-inventory.GSCell]++
+	}
+	return b
 }

@@ -177,18 +177,6 @@ func (h *HyperLogLog) Occupied() int {
 	return n
 }
 
-// register returns one register value regardless of representation.
-func (h *HyperLogLog) register(idx uint32) uint8 {
-	if h.registers != nil {
-		return h.registers[idx]
-	}
-	i := sort.Search(len(h.sparse), func(i int) bool { return h.sparse[i]>>8 >= idx })
-	if i < len(h.sparse) && h.sparse[i]>>8 == idx {
-		return uint8(h.sparse[i])
-	}
-	return 0
-}
-
 // Encoding modes.
 const (
 	hllModeRLE uint8 = 0 // (zero-run u32, value u8) pairs — cheap when sparse
@@ -197,7 +185,10 @@ const (
 
 // AppendBinary appends the sketch's binary encoding to buf, choosing
 // whichever of the run-length and raw layouts is smaller for the current
-// occupancy.
+// occupancy. It only reads the sketch — the representation is left as it
+// is — so a shared sketch may be encoded from several goroutines at once.
+// The run-length layout costs O(occupied) for a sparse sketch and one pass
+// over the registers for a dense one.
 func (h *HyperLogLog) AppendBinary(buf []byte) []byte {
 	buf = append(buf, h.p)
 	n := uint32(h.numRegisters())
@@ -205,25 +196,40 @@ func (h *HyperLogLog) AppendBinary(buf []byte) []byte {
 	// costs one byte per register.
 	if occupied := h.Occupied(); occupied*5+5 >= int(n) {
 		buf = append(buf, hllModeRaw)
-		h.densify()
-		return append(buf, h.registers...)
+		if h.registers != nil {
+			return append(buf, h.registers...)
+		}
+		start := len(buf)
+		buf = append(buf, make([]byte, n)...)
+		for _, packed := range h.sparse {
+			buf[start+int(packed>>8)] = uint8(packed)
+		}
+		return buf
 	}
+	// Each occupied register is one (zero-run, value) pair; a trailing
+	// zero run ends in a (run, 0) terminator, absent when the last
+	// register is set.
 	buf = append(buf, hllModeRLE)
-	i := uint32(0)
-	for i < n {
-		run := uint32(0)
-		for i < n && h.register(i) == 0 {
-			i++
-			run++
+	next := uint32(0) // first register not yet covered by a pair
+	if h.registers != nil {
+		for i, r := range h.registers {
+			if r != 0 {
+				buf = appendU32(buf, uint32(i)-next)
+				buf = append(buf, r)
+				next = uint32(i) + 1
+			}
 		}
-		if i >= n {
-			buf = appendU32(buf, run)
-			buf = append(buf, 0)
-			break
+	} else {
+		for _, packed := range h.sparse { // ranks are never 0
+			idx := packed >> 8
+			buf = appendU32(buf, idx-next)
+			buf = append(buf, uint8(packed))
+			next = idx + 1
 		}
-		buf = appendU32(buf, run)
-		buf = append(buf, h.register(i))
-		i++
+	}
+	if next < n {
+		buf = appendU32(buf, n-next)
+		buf = append(buf, 0)
 	}
 	return buf
 }

@@ -21,7 +21,7 @@ echo "== go test =="
 go test ./...
 
 echo "== go test -race (concurrent packages) =="
-go test -race -count=1 -timeout 20m ./internal/cluster/ ./internal/dataflow/ ./internal/ingest/ ./internal/inventory/ ./internal/obs/ ./internal/obs/trace/ ./internal/replica/ ./internal/segment/ ./internal/stream/
+go test -race -count=1 -timeout 20m ./internal/cluster/ ./internal/dataflow/ ./internal/ingest/ ./internal/inventory/ ./internal/obs/ ./internal/obs/trace/ ./internal/replica/ ./internal/segment/ ./internal/stats/ ./internal/stream/
 
 echo "== benchmark smoke (snapshot publish) =="
 go test -run='^$' -bench=Publish -benchtime=1x ./internal/inventory/
