@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check build test vet fmt race benchsmoke bench e2e
+.PHONY: check build test vet fmt race benchsmoke fuzz bench e2e
 
-check: fmt vet build test race benchsmoke e2e
+check: fmt vet build test race benchsmoke fuzz e2e
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,12 @@ race:
 benchsmoke:
 	$(GO) test -run='^$$' -bench=Publish -benchtime=1x ./internal/inventory/
 	$(GO) test -run='^$$' -bench=Segment -benchtime=1x ./internal/segment/
+
+# Short fuzz passes over the decoders that read persisted or fetched bytes:
+# checkpoint manifest lines and whole-segment loads.
+fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzParseManifestLine$$' -fuzztime=10s ./internal/ingest/
+	$(GO) test -run='^$$' -fuzz='^FuzzSegmentLoad$$' -fuzztime=10s ./internal/segment/
 
 # End-to-end smokes: the loopback cluster (coordinator + two workers, one
 # killed mid-task), the durability chaos drill (crash mid-checkpoint

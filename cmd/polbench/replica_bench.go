@@ -45,7 +45,7 @@ func (l *lab) benchReplicaCatchup(run func(string, int64, func(*testing.B)), rec
 		// the WAL layout is deterministic for every benchmark iteration.
 		MergeEvery:      time.Hour,
 		JournalPath:     filepath.Join(dir, "wal"),
-		CheckpointPath:  filepath.Join(dir, "live.polinv"),
+		CheckpointPath:  filepath.Join(dir, "live.ckpt"),
 		CheckpointEvery: 1,
 		WALSegmentBytes: 1 << 20,
 		Logf:            quiet,

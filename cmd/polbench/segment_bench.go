@@ -1,12 +1,12 @@
 package main
 
 // Segment serving-path benchmarks: cold-start cost and resident heap of
-// serving the lab inventory from a POLSEG1 columnar segment versus
-// loading the heap inventory, plus the point-query cost through each
-// path. The cold-start pair is the paper-facing claim of the segment
-// store — opening a segment reads tail+index+header only, so it is
-// O(index) in the inventory size where LoadFile is O(inventory) — and
-// the resident pair quantifies the RSS reduction for a read replica.
+// serving the lab inventory straight from its POLSEG1 segment versus
+// materializing it into a heap inventory, plus the point-query cost of
+// the mapped path. The cold-start pair is the paper-facing claim of the
+// segment store — opening a segment reads tail+index+header only, so it
+// is O(index) in the inventory size where segment.Load is O(inventory) —
+// and the resident pair quantifies the RSS reduction for a read replica.
 
 import (
 	"fmt"
@@ -38,11 +38,7 @@ func (l *lab) benchSegment(run func(string, int64, func(*testing.B)), report *be
 		return err
 	}
 	defer os.RemoveAll(dir)
-	invPath := filepath.Join(dir, "fleet.polinv")
 	segPath := filepath.Join(dir, "fleet.polseg")
-	if err := inventory.WriteFile(inv, invPath); err != nil {
-		return err
-	}
 	if err := segment.WriteFile(inv, segPath); err != nil {
 		return err
 	}
@@ -52,7 +48,7 @@ func (l *lab) benchSegment(run func(string, int64, func(*testing.B)), report *be
 	run("coldstart-heap-load", 0, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			v, err := inventory.LoadFile(invPath)
+			v, err := segment.Load(segPath)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -127,7 +123,7 @@ func (l *lab) benchSegment(run func(string, int64, func(*testing.B)), report *be
 		closeFn()
 	}
 	resident("resident-heap-inventory", func() (func(), int) {
-		v, err := inventory.LoadFile(invPath)
+		v, err := segment.Load(segPath)
 		if err != nil {
 			panic(err)
 		}

@@ -1,17 +1,18 @@
 // Command polbuild runs the Patterns-of-Life pipeline over an AIS archive
-// and writes the global inventory file (the paper's methodology, Figure 3).
+// and writes the global inventory as a POLSEG1 segment (the paper's
+// methodology, Figure 3).
 //
 // Usage:
 //
-//	polbuild -in fleet.nmea -res 6 -out fleet.polinv
-//	polbuild -synthetic -vessels 100 -days 30 -res 7 -out synth.polinv
+//	polbuild -in fleet.nmea -res 6 -out fleet.polseg
+//	polbuild -synthetic -vessels 100 -days 30 -res 7 -out synth.polseg
 //
 // With -coordinator the build is distributed: polbuild listens on the given
 // address, waits for -workers polworker processes to join, splits the input
 // into map tasks, and reduces the partial inventories they return:
 //
-//	polbuild -synthetic -vessels 500 -coordinator :7700 -workers 4 -out synth.polinv
-//	polbuild -in fleet.nmea -coordinator :7700 -workers 2 -out fleet.polinv
+//	polbuild -synthetic -vessels 500 -coordinator :7700 -workers 4 -out synth.polseg
+//	polbuild -in fleet.nmea -coordinator :7700 -workers 2 -out fleet.polseg
 //
 // Distributed archive builds shuffle worker-to-worker by default: the
 // coordinator assigns each reduce bucket an owning worker and the workers
@@ -37,6 +38,7 @@ import (
 	"github.com/patternsoflife/pol/internal/obs/trace"
 	"github.com/patternsoflife/pol/internal/pipeline"
 	"github.com/patternsoflife/pol/internal/ports"
+	"github.com/patternsoflife/pol/internal/segment"
 	"github.com/patternsoflife/pol/internal/sim"
 )
 
@@ -51,7 +53,7 @@ func main() {
 		days        = flag.Int("days", 30, "synthetic days")
 		seed        = flag.Int64("seed", 1, "synthetic seed")
 		res         = flag.Int("res", 6, "hexgrid resolution of the inventory (paper: 6 or 7)")
-		out         = flag.String("out", "inventory.polinv", "output inventory file")
+		out         = flag.String("out", "inventory.polseg", "output inventory segment (POLSEG1)")
 		par         = flag.Int("parallelism", runtime.GOMAXPROCS(0), "worker pool width")
 		coordinator = flag.String("coordinator", "", "distribute the build: listen on this address for polworker processes")
 		workers     = flag.Int("workers", 1, "distributed mode: wait for this many workers before dispatching")
@@ -197,8 +199,8 @@ func runDistributed(o distOpts) {
 	report(result.Inventory, o.out)
 }
 
-// report prints the inventory summary and writes the POLINV file — shared
-// by the local and distributed paths so both modes produce identical output.
+// report prints the inventory summary and writes the segment — shared by
+// the local and distributed paths so both modes produce identical output.
 func report(inv *inventory.Inventory, out string) {
 	for _, gs := range inventory.AllGroupSets {
 		log.Printf("groups %v: %d (compression %.4f%%)",
@@ -206,7 +208,7 @@ func report(inv *inventory.Inventory, out string) {
 	}
 	log.Printf("cells: %d (global H3 utilization %.6f%%)",
 		len(inv.Cells(inventory.GSCell)), inv.Utilization()*100)
-	if err := inventory.WriteFile(inv, out); err != nil {
+	if err := segment.WriteFile(inv, out); err != nil {
 		log.Fatal(err)
 	}
 	fi, _ := os.Stat(out)

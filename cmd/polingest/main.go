@@ -4,11 +4,11 @@
 // full paper pipeline in online form), and serves the query API plus
 // ingestion counters over HTTP. A write-ahead journal makes the state
 // survive restarts; periodic checkpoints give read-only consumers a
-// loadable inventory file.
+// loadable inventory segment at <checkpoint>.seg.
 //
 // Usage:
 //
-//	polingest -listen :10110 -http :8080 -journal live.wal -checkpoint live.polinv
+//	polingest -listen :10110 -http :8080 -journal live.wal -checkpoint live.ckpt
 //
 // Feed a recorded archive through it for a smoke test:
 //
@@ -72,7 +72,7 @@ func main() {
 		res       = flag.Int("res", 6, "hexgrid resolution")
 		tick      = flag.Duration("tick", 2*time.Second, "inventory merge interval")
 		journal   = flag.String("journal", "polingest.wal", "write-ahead journal path (empty disables durability)")
-		ckpt      = flag.String("checkpoint", "", "periodic inventory checkpoint path (empty disables)")
+		ckpt      = flag.String("checkpoint", "", "checkpoint base path: generations, manifest and the stable <base>.seg segment live beside it (empty disables)")
 		ckptEvery = flag.Int("checkpoint-every", 16, "merges between checkpoints")
 		walSeg    = flag.Int64("wal-segment-bytes", 0, "journal segment rotation threshold (0 = default 64 MiB)")
 		queue     = flag.Int("queue", 4096, "submission queue depth (backpressure bound)")

@@ -1,20 +1,21 @@
-// Command polquery reads an inventory file and answers the paper's query
-// patterns: per-location statistical summaries, most frequent destinations,
-// and OD-key transition cells.
+// Command polquery reads an inventory segment and answers the paper's
+// query patterns: per-location statistical summaries, most frequent
+// destinations, and OD-key transition cells.
 //
-// Both on-disk formats are accepted anywhere a file is expected — the
-// loader sniffs the 8-byte magic, so a .polinv heap inventory and a
-// .polseg columnar segment are interchangeable, including under -equal
-// (which compares bit-exact across formats).
+// Inventories on disk are POLSEG1 segments, opened O(index) and queried
+// straight off the file. A POLINV wire image saved from a daemon's
+// /v1/repl/snapshot (or a replica's snapshot endpoint) is accepted too —
+// the loader sniffs the 8-byte magic — so -equal compares bit-exact
+// across a segment and a live snapshot.
 //
 // Usage:
 //
-//	polquery -inv fleet.polinv -at 51.9,3.2
-//	polquery -inv fleet.polinv -at 51.9,3.2 -type container
+//	polquery -inv fleet.polseg -at 51.9,3.2
+//	polquery -inv fleet.polseg -at 51.9,3.2 -type container
 //	polquery -inv fleet.polseg -cell 0c4000000012345
-//	polquery -inv fleet.polinv -od-cells 1:63:container
-//	polquery -inv fleet.polinv -info
-//	polquery -inv primary.polinv -equal replica.polseg
+//	polquery -inv fleet.polseg -od-cells 1:63:container
+//	polquery -inv fleet.polseg -info
+//	polquery -inv primary.polinv -equal replica.polinv   # saved snapshots
 //
 // With -server the query goes to a running polserve/polingest daemon over
 // HTTP instead of reading a file, and -trace additionally fetches and
@@ -51,9 +52,9 @@ import (
 	"github.com/patternsoflife/pol/internal/segment"
 )
 
-// loadView opens an inventory in either on-disk format, sniffed by the
-// 8-byte magic: a POLSEG1 columnar segment opens O(index) and answers
-// queries straight off disk; anything else loads as a heap inventory.
+// loadView opens an inventory by its 8-byte magic: a POLSEG1 segment
+// opens O(index) and answers queries straight off disk; anything else is
+// decoded as a saved POLINV snapshot image.
 func loadView(path string) inventory.View {
 	f, err := os.Open(path)
 	if err != nil {
@@ -69,9 +70,13 @@ func loadView(path string) inventory.View {
 		}
 		return r
 	}
-	inv, err := inventory.LoadFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		log.Fatal(err)
+	}
+	inv, err := inventory.Unmarshal(data)
+	if err != nil {
+		log.Fatalf("%s: %v", path, err)
 	}
 	return inv
 }
@@ -81,7 +86,7 @@ func main() {
 	log.SetPrefix("polquery: ")
 
 	var (
-		invPath = flag.String("inv", "inventory.polinv", "inventory file")
+		invPath = flag.String("inv", "inventory.polseg", "inventory segment, or a saved snapshot image")
 		at      = flag.String("at", "", "query location LAT,LNG")
 		cellStr = flag.String("cell", "", "query an exact cell id (hex)")
 		vtype   = flag.String("type", "", "vessel type filter (cargo|container|bulk|tanker|passenger)")

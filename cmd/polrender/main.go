@@ -1,10 +1,10 @@
 // Command polrender regenerates the paper's figures from an inventory
-// file.
+// segment.
 //
 // Usage:
 //
-//	polrender -inv fleet.polinv -out out/            # all figures
-//	polrender -inv fleet.polinv -fig 1 -width 2400   # Figure 1 only
+//	polrender -inv fleet.polseg -out out/            # all figures
+//	polrender -inv fleet.polseg -fig 1 -width 2400   # Figure 1 only
 package main
 
 import (
@@ -13,10 +13,10 @@ import (
 	"os"
 	"path/filepath"
 
-	"github.com/patternsoflife/pol/internal/inventory"
 	"github.com/patternsoflife/pol/internal/model"
 	"github.com/patternsoflife/pol/internal/ports"
 	"github.com/patternsoflife/pol/internal/render"
+	"github.com/patternsoflife/pol/internal/segment"
 )
 
 func main() {
@@ -24,14 +24,14 @@ func main() {
 	log.SetPrefix("polrender: ")
 
 	var (
-		invPath = flag.String("inv", "inventory.polinv", "inventory file")
+		invPath = flag.String("inv", "inventory.polseg", "inventory segment (POLSEG1)")
 		outDir  = flag.String("out", "out", "output directory")
 		fig     = flag.String("fig", "all", "figure to render: 1, 4, 5, 6 or all")
 		width   = flag.Int("width", 1600, "image width in pixels")
 	)
 	flag.Parse()
 
-	inv, err := inventory.LoadFile(*invPath)
+	inv, err := segment.Load(*invPath)
 	if err != nil {
 		log.Fatal(err)
 	}

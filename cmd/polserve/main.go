@@ -45,7 +45,7 @@
 //
 // Usage:
 //
-//	polserve -inv fleet.polinv -addr :8080
+//	polserve -inv fleet.polseg -addr :8080
 //	polserve -seg fleet.polseg -addr :8080
 //	polserve -live -listen :10110 -addr :8080 -journal live.wal -pprof
 //	polserve -replica http://primary:8080 -addr :8081 -max-lag 10s
@@ -72,7 +72,6 @@ import (
 	"github.com/patternsoflife/pol/internal/api"
 	"github.com/patternsoflife/pol/internal/fault"
 	"github.com/patternsoflife/pol/internal/ingest"
-	"github.com/patternsoflife/pol/internal/inventory"
 	"github.com/patternsoflife/pol/internal/obs"
 	"github.com/patternsoflife/pol/internal/obs/trace"
 	"github.com/patternsoflife/pol/internal/ports"
@@ -82,8 +81,8 @@ import (
 
 func main() {
 	var (
-		invPath = flag.String("inv", "inventory.polinv", "inventory file (batch mode)")
-		segPath = flag.String("seg", "", "columnar segment file to serve instead of -inv (batch mode, O(index) open)")
+		invPath = flag.String("inv", "inventory.polseg", "inventory segment to load into the heap (batch mode)")
+		segPath = flag.String("seg", "", "inventory segment to serve mapped instead of -inv (batch mode, O(index) open)")
 		addr    = flag.String("addr", ":8080", "HTTP listen address")
 
 		live      = flag.Bool("live", false, "serve from a live ingestion engine instead of a file")
@@ -91,7 +90,7 @@ func main() {
 		res       = flag.Int("res", 6, "hexgrid resolution (live mode)")
 		tick      = flag.Duration("tick", 2*time.Second, "inventory merge interval (live mode)")
 		journal   = flag.String("journal", "", "write-ahead journal path (live mode, empty disables)")
-		ckpt      = flag.String("checkpoint", "", "periodic inventory checkpoint path (live mode)")
+		ckpt      = flag.String("checkpoint", "", "checkpoint base path: generations, manifest and the stable <base>.seg segment live beside it (live mode)")
 		ckptEvery = flag.Int("checkpoint-every", 16, "merges between checkpoints (live mode)")
 		walSeg    = flag.Int64("wal-segment-bytes", 0, "journal segment rotation threshold (live mode, 0 = default 64 MiB)")
 		idle      = flag.Duration("idle-timeout", 5*time.Minute, "drop feeds silent for this long (live mode)")
@@ -313,7 +312,7 @@ func main() {
 			}
 		}
 	} else {
-		inv, err := inventory.LoadFile(*invPath)
+		inv, err := segment.Load(*invPath)
 		if err != nil {
 			fatal(logger, "inventory load", err)
 		}

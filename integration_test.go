@@ -13,6 +13,7 @@ import (
 	"github.com/patternsoflife/pol/internal/model"
 	"github.com/patternsoflife/pol/internal/pipeline"
 	"github.com/patternsoflife/pol/internal/ports"
+	"github.com/patternsoflife/pol/internal/segment"
 	"github.com/patternsoflife/pol/internal/sim"
 )
 
@@ -106,12 +107,12 @@ func TestEndToEndWireFormat(t *testing.T) {
 		t.Errorf("wire-built trip records %v differ from direct %v by > 2%%", wireRecs, directRecs)
 	}
 
-	// 4. Inventory → file → random-access reader (the polserve step).
-	path := filepath.Join(t.TempDir(), "wire.polinv")
-	if err := inventory.WriteFile(result.Inventory, path); err != nil {
+	// 4. Inventory → segment → heap inventory (the polserve -inv step).
+	path := filepath.Join(t.TempDir(), "wire.polseg")
+	if err := segment.WriteFile(result.Inventory, path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := inventory.LoadFile(path)
+	loaded, err := segment.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestEndToEndWireFormat(t *testing.T) {
 
 	// 6. Disk random access agrees with the in-memory map for a sample of
 	// keys.
-	reader, err := inventory.Open(path)
+	reader, err := segment.Open(path, segment.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

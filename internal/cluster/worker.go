@@ -536,11 +536,7 @@ func (w *worker) runPipeline(records *dataflow.Dataset[model.PositionRecord], st
 	if err != nil {
 		return err
 	}
-	blob, err := inventory.Marshal(out.Inventory)
-	if err != nil {
-		return err
-	}
-	res.Inventory = blob
+	res.Inventory = inventory.Marshal(out.Inventory)
 	res.Stats = out.Stats
 	return nil
 }

@@ -19,23 +19,29 @@ import (
 )
 
 // Checkpoints are the engine's fast-recovery frontier: a generation is
-// the published inventory (the same POLINV1 serving artifact as before)
-// plus a POLSTAT1 state file carrying everything replay cannot re-derive
-// from the WAL suffix alone — the vessel static map, every vessel's
-// cleaner and trip-tracker state, and the engine counters. A small text
-// manifest (<base>.manifest) names the last two generations newest-first
-// with the WAL sequence each one covers and whole-file CRC32C checksums:
+// the published inventory as a POLSEG1 segment (the one persisted
+// inventory format) plus a POLSTAT1 state file carrying everything replay
+// cannot re-derive from the WAL suffix alone — the vessel static map,
+// every vessel's cleaner and trip-tracker state, and the engine counters.
+// A small text manifest (<base>.manifest) names the last two generations
+// newest-first with the WAL sequence each one covers and whole-file
+// CRC32C checksums:
 //
 //	POLCKPT1
-//	gen 12 seq 89214 inv ckpt.g000012 crc 1f2e3d4c size 88231 state ckpt.g000012.state crc aabbccdd size 4096
-//	gen 11 seq 80112 inv ckpt.g000011 crc ...
+//	gen 12 seq 89214 state ckpt.g000012.state crc aabbccdd size 4096 seg ckpt.g000012.seg crc 1f2e3d4c size 88231 term 3 node 00000000000000aa
+//	gen 11 seq 80112 state ckpt.g000011.state crc ...
+//
+// Manifests written before segments became the only format also carry an
+// "inv <name> crc .. size .." POLINV entry; it is parsed and ignored, so
+// such a generation still loads through its segment. A generation without
+// a segment cannot be loaded and is skipped.
 //
 // Every file is written atomically (temp + fsync + rename + dir fsync),
 // so cold start verifies the newest generation against its manifest
 // entry, falls back to the previous generation on any mismatch, and
 // replays only WAL records past the chosen generation's seq. A stable
-// copy of the newest inventory is kept at exactly <base> (hardlink swap)
-// so external read-only consumers keep loading the configured path.
+// copy of the newest segment is kept at exactly <base>.seg (hardlink
+// swap) so external read-only consumers keep opening one path.
 //
 // The WAL is pruned to the OLDEST retained generation's seq — pruning to
 // the newest would strand the fallback generation without the journal
@@ -48,21 +54,20 @@ const (
 
 var stateMagic = []byte("POLSTAT1\n")
 
-// ckptGen is one manifest entry. Seg is empty on manifests written
-// before the segment store existed; everything else treats a missing
-// segment as "heap bootstrap only". Term/Node are zero on manifests
-// written before the failover epoch existed — readers treat that as
-// term 1 under an unknown node.
+// ckptGen is one manifest entry. Seg is empty only on manifests written
+// before the segment store existed; such a generation is unloadable.
+// Term/Node are zero on manifests written before the failover epoch
+// existed — readers treat that as term 1 under an unknown node.
 type ckptGen struct {
-	Gen, Seq           uint64
-	Inv, State         string // basenames, sibling to the manifest
-	InvCRC, StateCRC   uint32
-	InvSize, StateSize int64
-	Seg                string // POLSEG1 columnar segment, "" when absent
-	SegCRC             uint32
-	SegSize            int64
-	Term               uint64 // fencing epoch the generation was written under
-	Node               uint64 // identity of the node that wrote it
+	Gen, Seq  uint64
+	State     string // basenames, sibling to the manifest
+	StateCRC  uint32
+	StateSize int64
+	Seg       string // POLSEG1 segment of the published inventory
+	SegCRC    uint32
+	SegSize   int64
+	Term      uint64 // fencing epoch the generation was written under
+	Node      uint64 // identity of the node that wrote it
 }
 
 // checkpointer owns the generation files and manifest below one base
@@ -147,16 +152,12 @@ func (c *checkpointer) Save(snap *inventory.Inventory, st *engineState, seq, ter
 		gen = gens[0].Gen + 1
 	}
 	entry := ckptGen{Gen: gen, Seq: seq, Term: term, Node: node}
-	invPath := fmt.Sprintf("%s.g%06d", c.base, gen)
-	statePath := invPath + ".state"
-	segPath := invPath + ".seg"
-	entry.Inv = filepath.Base(invPath)
+	genPath := fmt.Sprintf("%s.g%06d", c.base, gen)
+	statePath := genPath + ".state"
+	segPath := genPath + ".seg"
 	entry.State = filepath.Base(statePath)
 	entry.Seg = filepath.Base(segPath)
 
-	if entry.InvCRC, entry.InvSize, err = inventory.WriteFileSum(snap, invPath); err != nil {
-		return 0, fmt.Errorf("ingest: checkpoint inventory: %w", err)
-	}
 	segStats, err := segment.WriteFileSum(snap, segPath)
 	if err != nil {
 		return 0, fmt.Errorf("ingest: checkpoint segment: %w", err)
@@ -186,14 +187,10 @@ func (c *checkpointer) Save(snap *inventory.Inventory, st *engineState, seq, ter
 	c.gens = newGens
 	c.mu.Unlock()
 
-	if err := c.publishStable(invPath, c.base); err != nil {
-		return 0, fmt.Errorf("ingest: checkpoint stable artifact: %w", err)
-	}
 	if err := c.publishStable(segPath, c.base+".seg"); err != nil {
 		return 0, fmt.Errorf("ingest: checkpoint stable segment: %w", err)
 	}
 	for _, g := range dropped {
-		os.Remove(c.genPath(g.Inv))
 		os.Remove(c.genPath(g.State))
 		if g.Seg != "" {
 			os.Remove(c.genPath(g.Seg))
@@ -204,8 +201,7 @@ func (c *checkpointer) Save(snap *inventory.Inventory, st *engineState, seq, ter
 
 // publishStable points dstPath at the newest generation's artifact via a
 // hardlink rename (falling back to a copy on filesystems without links),
-// keeping the plain configured paths (<base> and <base>.seg) valid
-// serving artifacts.
+// keeping the plain configured path <base>.seg a valid serving artifact.
 func (c *checkpointer) publishStable(srcPath, dstPath string) error {
 	tmp := dstPath + ".pub.tmp"
 	os.Remove(tmp)
@@ -257,18 +253,21 @@ func (c *checkpointer) Load(resolution int) (*inventory.Inventory, *engineState,
 }
 
 func (c *checkpointer) loadGen(g ckptGen, resolution int) (*inventory.Inventory, *engineState, error) {
-	invPath, statePath := c.genPath(g.Inv), c.genPath(g.State)
-	if sum, size, err := inventory.ChecksumFile(invPath); err != nil {
+	if g.Seg == "" {
+		return nil, nil, fmt.Errorf("generation predates segments")
+	}
+	segPath, statePath := c.genPath(g.Seg), c.genPath(g.State)
+	if sum, size, err := inventory.ChecksumFile(segPath); err != nil {
 		return nil, nil, err
-	} else if sum != g.InvCRC || size != g.InvSize {
-		return nil, nil, fmt.Errorf("inventory checksum mismatch (crc %08x/%d, want %08x/%d)", sum, size, g.InvCRC, g.InvSize)
+	} else if sum != g.SegCRC || size != g.SegSize {
+		return nil, nil, fmt.Errorf("segment checksum mismatch (crc %08x/%d, want %08x/%d)", sum, size, g.SegCRC, g.SegSize)
 	}
 	if sum, size, err := inventory.ChecksumFile(statePath); err != nil {
 		return nil, nil, err
 	} else if sum != g.StateCRC || size != g.StateSize {
 		return nil, nil, fmt.Errorf("state checksum mismatch (crc %08x/%d, want %08x/%d)", sum, size, g.StateCRC, g.StateSize)
 	}
-	inv, err := inventory.LoadFile(invPath)
+	inv, err := segment.Load(segPath)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -291,35 +290,28 @@ func (c *checkpointer) loadGen(g ckptGen, resolution int) (*inventory.Inventory,
 
 func writeManifest(path string, gens []ckptGen) error {
 	return inventory.AtomicWrite(path, func(w io.Writer) error {
-		if _, err := fmt.Fprintln(w, ckptManifestMagic); err != nil {
-			return err
-		}
+		var b strings.Builder
+		b.WriteString(ckptManifestMagic + "\n")
 		for _, g := range gens {
-			if _, err := fmt.Fprintf(w, "gen %d seq %d inv %s crc %08x size %d state %s crc %08x size %d",
-				g.Gen, g.Seq, g.Inv, g.InvCRC, g.InvSize, g.State, g.StateCRC, g.StateSize); err != nil {
-				return err
-			}
-			// The segment entry is a suffix so manifests stay readable by
-			// the pre-segment parser (and vice versa).
-			if g.Seg != "" {
-				if _, err := fmt.Fprintf(w, " seg %s crc %08x size %d", g.Seg, g.SegCRC, g.SegSize); err != nil {
-					return err
-				}
-			}
-			// The fencing epoch is a further suffix, same compatibility
-			// contract: pre-term parsers skip it, and lines without it
-			// read back as term 0 (pre-epoch).
-			if g.Term != 0 {
-				if _, err := fmt.Fprintf(w, " term %d node %016x", g.Term, g.Node); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintln(w); err != nil {
-				return err
-			}
+			b.WriteString(manifestLine(g) + "\n")
 		}
-		return nil
+		_, err := io.WriteString(w, b.String())
+		return err
 	})
+}
+
+// manifestLine formats one generation as parseManifestLine reads it back.
+func manifestLine(g ckptGen) string {
+	line := fmt.Sprintf("gen %d seq %d state %s crc %08x size %d", g.Gen, g.Seq, g.State, g.StateCRC, g.StateSize)
+	if g.Seg != "" {
+		line += fmt.Sprintf(" seg %s crc %08x size %d", g.Seg, g.SegCRC, g.SegSize)
+	}
+	// The fencing epoch is an optional suffix: lines without it read back
+	// as term 0 (pre-epoch).
+	if g.Term != 0 || g.Node != 0 {
+		line += fmt.Sprintf(" term %d node %016x", g.Term, g.Node)
+	}
+	return line
 }
 
 func readManifest(path string) ([]ckptGen, error) {
@@ -349,11 +341,15 @@ func readManifest(path string) ([]ckptGen, error) {
 // suffixes (seg, term/node) and future additions parse without a format
 // string per vintage. Unknown keys are skipped, which keeps old binaries
 // able to read manifests from newer ones. crc and size bind to the file
-// key (inv, state, seg) that most recently preceded them.
+// key (inv, state, seg) that most recently preceded them; the inv entry
+// of older manifests names a POLINV file nothing reads any more, so its
+// values are checked for syntax and dropped.
 func parseManifestLine(line string) (ckptGen, error) {
 	var g ckptGen
 	var crcDst *uint32
 	var sizeDst *int64
+	var invCRC uint32
+	var invSize int64
 	f := strings.Fields(line)
 	if len(f)%2 != 0 {
 		return g, fmt.Errorf("odd token count")
@@ -367,8 +363,7 @@ func parseManifestLine(line string) (ckptGen, error) {
 		case "seq":
 			_, err = fmt.Sscanf(val, "%d", &g.Seq)
 		case "inv":
-			g.Inv = val
-			crcDst, sizeDst = &g.InvCRC, &g.InvSize
+			crcDst, sizeDst = &invCRC, &invSize
 		case "state":
 			g.State = val
 			crcDst, sizeDst = &g.StateCRC, &g.StateSize
@@ -394,7 +389,7 @@ func parseManifestLine(line string) (ckptGen, error) {
 			return g, fmt.Errorf("key %s: %w", key, err)
 		}
 	}
-	if g.Inv == "" || g.State == "" || g.Gen == 0 {
+	if g.State == "" || g.Gen == 0 {
 		return g, fmt.Errorf("missing required fields")
 	}
 	return g, nil

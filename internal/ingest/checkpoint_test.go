@@ -1,14 +1,16 @@
 package ingest
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/patternsoflife/pol/internal/fault"
-	"github.com/patternsoflife/pol/internal/inventory"
 	"github.com/patternsoflife/pol/internal/model"
+	"github.com/patternsoflife/pol/internal/segment"
 	"github.com/patternsoflife/pol/internal/sim"
 )
 
@@ -50,12 +52,23 @@ func TestCheckpointerFallback(t *testing.T) {
 		t.Fatalf("save gen2: covered %d (want oldest retained 100), err %v", covered, err)
 	}
 
-	// The stable artifact at the configured path is the newest inventory.
-	stable, err := inventory.LoadFile(base)
+	// The stable artifact next to the configured path is the newest
+	// inventory, and no generation leaves a POLINV file behind.
+	stable, err := segment.Load(base + ".seg")
 	if err != nil {
 		t.Fatal(err)
 	}
 	diffInventories(t, stable, inv2, "stable artifact")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if !strings.HasSuffix(name, ".seg") && !strings.HasSuffix(name, ".state") && !strings.HasSuffix(name, ".manifest") {
+			t.Errorf("checkpoint directory holds %s, want only segments, state files and the manifest", name)
+		}
+	}
 
 	// A fresh process loads the newest generation.
 	inv, got, seq, err := newCheckpointer(base, fault.Default(), t.Logf).Load(res)
@@ -67,8 +80,8 @@ func TestCheckpointerFallback(t *testing.T) {
 		t.Fatalf("state roundtrip lost data: %+v", got.counters)
 	}
 
-	// Corrupt the newest generation's inventory: fall back to gen 1.
-	flipByte(t, filepath.Join(dir, "live.polinv.g000002"))
+	// Corrupt the newest generation's segment: fall back to gen 1.
+	flipByte(t, filepath.Join(dir, "live.polinv.g000002.seg"))
 	inv, got, seq, err = newCheckpointer(base, fault.Default(), t.Logf).Load(res)
 	if err != nil || seq != 100 {
 		t.Fatalf("fallback load: seq %d, err %v", seq, err)
@@ -84,6 +97,107 @@ func TestCheckpointerFallback(t *testing.T) {
 	if err != nil || inv != nil || seq != 0 {
 		t.Fatalf("all-corrupt load = (%v, seq %d, %v), want WAL-only recovery signal", inv, seq, err)
 	}
+}
+
+// TestManifestVintages reads one real generation through the manifest
+// line of every format vintage: the line an older release wrote (with a
+// POLINV "inv" entry beside the segment) loads through its segment; a
+// line from before segments existed is skipped through the fallback log;
+// the current line round-trips. Written back, every line names only the
+// segment and the state file.
+func TestManifestVintages(t *testing.T) {
+	const res = 6
+	_, _, inv := fleetStream(t, sim.Config{Vessels: 3, Days: 4, Seed: 5}, res)
+	st := &engineState{statics: map[uint32]model.VesselInfo{}, vessels: map[uint32]vesselPersist{}}
+	base := filepath.Join(t.TempDir(), "live.polinv")
+	if _, err := newCheckpointer(base, fault.Default(), t.Logf).Save(inv, st, 100, 3, 0xff); err != nil {
+		t.Fatal(err)
+	}
+	gens, err := readManifest(base + ".manifest")
+	if err != nil || len(gens) != 1 {
+		t.Fatalf("readManifest: %d generations, err %v", len(gens), err)
+	}
+	g := gens[0]
+	statePart := fmt.Sprintf("state %s crc %08x size %d", g.State, g.StateCRC, g.StateSize)
+	segPart := fmt.Sprintf("seg %s crc %08x size %d", g.Seg, g.SegCRC, g.SegSize)
+
+	for _, tc := range []struct {
+		name, line string
+		loads      bool
+	}{
+		{"older release", "gen 1 seq 100 inv live.polinv.g000001 crc 0a0b0c0d size 123 " + statePart + " " + segPart + " term 3 node 00000000000000ff", true},
+		{"pre-segment", "gen 1 seq 100 inv live.polinv.g000001 crc 0a0b0c0d size 123 " + statePart, false},
+		{"current", manifestLine(g), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := os.WriteFile(base+".manifest", []byte(ckptManifestMagic+"\n"+tc.line+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var logs []string
+			c := newCheckpointer(base, fault.Default(), func(format string, args ...any) {
+				logs = append(logs, fmt.Sprintf(format, args...))
+			})
+			got, _, seq, err := c.Load(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tc.loads {
+				if got != nil || !strings.Contains(strings.Join(logs, "\n"), "predates segments") {
+					t.Fatalf("pre-segment generation loaded (%v) or was not logged: %q", got != nil, logs)
+				}
+				return
+			}
+			if got == nil || seq != 100 {
+				t.Fatalf("no generation loaded (seq %d): %q", seq, logs)
+			}
+			diffInventories(t, got, inv, tc.name)
+
+			if err := writeManifest(base+".manifest", c.generations()); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(base + ".manifest")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := ckptManifestMagic + "\n" + manifestLine(g) + "\n"; string(data) != want {
+				t.Fatalf("written back as %q, want %q", data, want)
+			}
+			back, err := readManifest(base + ".manifest")
+			if err != nil || len(back) != 1 || back[0] != g {
+				t.Fatalf("round trip = %+v (%v), want %+v", back, err, g)
+			}
+		})
+	}
+}
+
+// FuzzParseManifestLine feeds arbitrary manifest lines to the parser: it
+// must never panic, and any line it accepts must come back as the same
+// generation once written out the way writeManifest writes it.
+func FuzzParseManifestLine(f *testing.F) {
+	for _, seed := range []string{
+		"gen 4 seq 900 inv live.polinv.g000004 crc 0a0b0c0d size 123 state live.polinv.g000004.state crc 01020304 size 456",
+		"gen 5 seq 950 inv a crc 0a size 1 state b crc 0b size 2 seg c crc 0c size 3 term 9 node 00000000000000aa",
+		"gen 6 seq 990 state b crc 0b size 2 seg c crc 0c size 3 term 9 node 00000000000000aa",
+		"gen 7 seq 1 state s crc 00000000 size 0",
+		"crc 1 gen 1 state a",
+		"gen 1 state a term 0 node ff",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		g, err := parseManifestLine(line)
+		if err != nil {
+			return
+		}
+		back, err := parseManifestLine(manifestLine(g))
+		if err != nil {
+			t.Fatalf("%q parsed as %+v, but its written form %q fails: %v", line, g, manifestLine(g), err)
+		}
+		if back != g {
+			t.Fatalf("%q parsed as %+v, written back as %q, re-parsed as %+v", line, g, manifestLine(g), back)
+		}
+	})
 }
 
 // TestEngineCheckpointRecovery corrupts checkpoint generations under a
@@ -162,7 +276,7 @@ func TestEngineCheckpointRecovery(t *testing.T) {
 
 	// Corrupt the newest generation: restart must fall back and replay the
 	// WAL suffix into exactly the uninterrupted state.
-	flipByte(t, filepath.Join(dir, gens[0].Inv))
+	flipByte(t, filepath.Join(dir, gens[0].Seg))
 	e2, err := NewEngine(Options{
 		Resolution:     res,
 		JournalPath:    journal,

@@ -18,7 +18,7 @@
 // Durability is a length-prefixed write-ahead journal of accepted records
 // (positions that survived range validation and deduplication, plus
 // vessel static entries) with periodic checkpoints of the published
-// snapshot via inventory.WriteFile. Replaying the journal through the
+// snapshot as a POLSEG1 segment. Replaying the journal through the
 // deterministic cleaning/trip state machines reconstructs the exact
 // engine state — including trips that were open when the process died —
 // so kill-and-restart converges to the same inventory the uninterrupted

@@ -22,7 +22,7 @@ import (
 //	GET /v1/repl/checkpoint/{gen}/{file}    one generation file, verbatim bytes
 //	GET /v1/repl/segment/{gen}              one generation's columnar segment (POLSEG1, Range-capable)
 //	GET /v1/repl/wal?from_seq=N[&max=M][&wait=D]  WAL suffix past seq N (POLREPL1)
-//	GET /v1/repl/snapshot                   current published inventory (POLINV1)
+//	GET /v1/repl/snapshot                   current published inventory (POLINV1 wire image)
 //
 // The WAL endpoint long-polls: with wait set and no records past
 // from_seq, the handler holds the request until a record arrives or the
@@ -46,14 +46,12 @@ type ReplManifest struct {
 type ReplGenInfo struct {
 	Gen       uint64 `json:"gen"`
 	Seq       uint64 `json:"seq"`
-	Inv       string `json:"inv"`
-	InvCRC    uint32 `json:"inv_crc"`
-	InvSize   int64  `json:"inv_size"`
 	State     string `json:"state"`
 	StateCRC  uint32 `json:"state_crc"`
 	StateSize int64  `json:"state_size"`
-	// Seg names the generation's columnar segment (POLSEG1); empty on
-	// manifests written before segments existed.
+	// Seg names the generation's POLSEG1 segment, the inventory every
+	// replica kind installs; empty only on generations written before
+	// segments existed, which no replica can bootstrap from.
 	Seg     string `json:"seg,omitempty"`
 	SegCRC  uint32 `json:"seg_crc,omitempty"`
 	SegSize int64  `json:"seg_size,omitempty"`
@@ -162,7 +160,6 @@ func (e *Engine) ReplManifestSnapshot() ReplManifest {
 		for _, g := range ckpt.generations() {
 			m.Generations = append(m.Generations, ReplGenInfo{
 				Gen: g.Gen, Seq: g.Seq,
-				Inv: g.Inv, InvCRC: g.InvCRC, InvSize: g.InvSize,
 				State: g.State, StateCRC: g.StateCRC, StateSize: g.StateSize,
 				Seg: g.Seg, SegCRC: g.SegCRC, SegSize: g.SegSize,
 				Term: g.Term,
@@ -239,7 +236,7 @@ func (e *Engine) handleReplCheckpoint(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.PathValue("file")
 	for _, g := range ckpt.generations() {
-		if g.Gen != gen || (name != g.Inv && name != g.State && (g.Seg == "" || name != g.Seg)) {
+		if g.Gen != gen || (name != g.State && (g.Seg == "" || name != g.Seg)) {
 			continue
 		}
 		f, err := os.Open(ckpt.genPath(name))
@@ -359,11 +356,7 @@ func (e *Engine) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no snapshot yet", http.StatusServiceUnavailable)
 		return
 	}
-	data, err := inventory.Marshal(snap)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
+	data := inventory.Marshal(snap)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	_, _ = w.Write(data)

@@ -185,12 +185,13 @@ func TestReplHTTPSurface(t *testing.T) {
 		t.Fatalf("CheckpointStatus (%d,%d) disagrees with manifest (%d,%d)", gen, seq, g.Gen, g.Seq)
 	}
 
-	// Both generation files download and verify against the manifest.
+	// Both generation files — state and segment — download and verify
+	// against the manifest.
 	for _, f := range []struct {
 		name string
 		crc  uint32
 		size int64
-	}{{g.Inv, g.InvCRC, g.InvSize}, {g.State, g.StateCRC, g.StateSize}} {
+	}{{g.State, g.StateCRC, g.StateSize}, {g.Seg, g.SegCRC, g.SegSize}} {
 		body := fetchBytes(t, fmt.Sprintf("%s/v1/repl/checkpoint/%d/%s", srv.URL, g.Gen, f.name), http.StatusOK)
 		if int64(len(body)) != f.size {
 			t.Fatalf("%s: %d bytes, manifest says %d", f.name, len(body), f.size)
@@ -202,7 +203,7 @@ func TestReplHTTPSurface(t *testing.T) {
 
 	// A file name not in the manifest — traversal or stale — is 404.
 	fetchBytes(t, fmt.Sprintf("%s/v1/repl/checkpoint/%d/..%%2Fwal.000001.wal", srv.URL, g.Gen), http.StatusNotFound)
-	fetchBytes(t, fmt.Sprintf("%s/v1/repl/checkpoint/%d/%s", srv.URL, g.Gen+99, g.Inv), http.StatusNotFound)
+	fetchBytes(t, fmt.Sprintf("%s/v1/repl/checkpoint/%d/%s", srv.URL, g.Gen+99, g.Seg), http.StatusNotFound)
 
 	// The WAL endpoint serves a decodable suffix with contiguous seqs
 	// from any frontier at or past the oldest retained generation's.

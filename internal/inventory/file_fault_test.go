@@ -2,6 +2,7 @@ package inventory
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,21 +10,16 @@ import (
 	"github.com/patternsoflife/pol/internal/fault"
 )
 
-func mustWrite(t *testing.T, inv *Inventory, path string) {
-	t.Helper()
-	if err := WriteFile(inv, path); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAtomicWriteFaultLeavesOldFile(t *testing.T) {
 	inv, _ := buildTestInventory(t, 6)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "inv.polinv")
-	mustWrite(t, inv, path)
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	before := writeImage(t, inv, path)
+	write := func() error {
+		return AtomicWrite(path, func(w io.Writer) error {
+			_, err := w.Write(before)
+			return err
+		})
 	}
 
 	for _, fp := range []string{FPWriteSync, FPWriteRename} {
@@ -33,7 +29,7 @@ func TestAtomicWriteFaultLeavesOldFile(t *testing.T) {
 			}
 			defer fault.Default().Disable(fp)
 
-			err := WriteFile(inv, path)
+			err := write()
 			if err == nil {
 				t.Fatal("write succeeded despite injected fault")
 			}
@@ -51,8 +47,8 @@ func TestAtomicWriteFaultLeavesOldFile(t *testing.T) {
 			if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
 				t.Fatalf("temp file left behind: %v", err)
 			}
-			// The artifact still loads.
-			got, err := LoadFile(path)
+			// The artifact still decodes.
+			got, err := Unmarshal(after)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,47 +59,7 @@ func TestAtomicWriteFaultLeavesOldFile(t *testing.T) {
 	}
 
 	// With faults cleared the write goes through again.
-	if err := WriteFile(inv, path); err != nil {
+	if err := write(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWriteFileSumMatchesChecksumFile(t *testing.T) {
-	inv, _ := buildTestInventory(t, 6)
-	path := filepath.Join(t.TempDir(), "inv.polinv")
-	sum, size, err := WriteFileSum(inv, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Size() != size {
-		t.Fatalf("reported size %d, on disk %d", size, st.Size())
-	}
-	gotSum, gotSize, err := ChecksumFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotSum != sum || gotSize != size {
-		t.Fatalf("ChecksumFile = (%08x, %d), WriteFileSum reported (%08x, %d)",
-			gotSum, gotSize, sum, size)
-	}
-	// Any byte flip must change the checksum.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x40
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	flipSum, _, err := ChecksumFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flipSum == sum {
-		t.Fatal("checksum unchanged after byte flip")
 	}
 }

@@ -1,9 +1,9 @@
 package inventory
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -399,13 +399,30 @@ func TestInventoryValidateRejectsBadKeys(t *testing.T) {
 	}
 }
 
+// writeImage persists a POLINV image the way a saved /v1/repl/snapshot
+// download lands on disk, through the atomic writer.
+func writeImage(t *testing.T, inv *Inventory, path string) []byte {
+	t.Helper()
+	data := Marshal(inv)
+	err := AtomicWrite(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 func TestFileRoundTrip(t *testing.T) {
 	inv, anchor := buildTestInventory(t, 6)
 	path := filepath.Join(t.TempDir(), "test.polinv")
-	if err := WriteFile(inv, path); err != nil {
+	writeImage(t, inv, path)
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path)
+	got, err := Unmarshal(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,14 +442,14 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 }
 
-// pinnedFileSHA256 is the SHA-256 of TestFilePinnedBytes' POLINV file as
-// written by the original encoder, which built every summary in a fresh
-// buffer. Any change to the file bytes breaks it.
+// pinnedFileSHA256 is the SHA-256 of TestFilePinnedBytes' POLINV image as
+// written by the original file encoder, which built every summary in a
+// fresh buffer. Any change to the wire bytes breaks it.
 const pinnedFileSHA256 = "5021727691b043f79e75bb65956f4ff09f7a8b7d2d54c165a3beec2bb35eb5d1"
 
-// TestFilePinnedBytes pins the POLINV writer's output (BuiltUnix is zero
-// in the fixture) over sparse sketches plus two cells whose distinct-ship
-// counts take the dense run-length and the raw HLL layouts.
+// TestFilePinnedBytes pins Marshal's output (BuiltUnix is zero in the
+// fixture) over sparse sketches plus two cells whose distinct-ship counts
+// take the dense run-length and the raw HLL layouts.
 func TestFilePinnedBytes(t *testing.T) {
 	inv, _ := buildTestInventory(t, 6)
 	rng := rand.New(rand.NewSource(11))
@@ -445,98 +462,29 @@ func TestFilePinnedBytes(t *testing.T) {
 		}
 		inv.Put(NewGroupKey(GSCell, c, 0, 0, 0), s)
 	}
-	path := filepath.Join(t.TempDir(), "pinned.polinv")
-	if err := WriteFile(inv, path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(data)
+	sum := sha256.Sum256(Marshal(inv))
 	if got := hex.EncodeToString(sum[:]); got != pinnedFileSHA256 {
 		t.Fatalf("POLINV SHA-256 %s, want %s", got, pinnedFileSHA256)
 	}
-	wire, err := Marshal(inv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wire, data) {
-		t.Fatal("Marshal bytes differ from the file")
-	}
-}
-
-func TestFileRandomAccess(t *testing.T) {
-	inv, anchor := buildTestInventory(t, 6)
-	path := filepath.Join(t.TempDir(), "ra.polinv")
-	if err := WriteFile(inv, path); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.NumGroups() != int64(inv.Len()) {
-		t.Errorf("NumGroups %d, want %d", r.NumGroups(), inv.Len())
-	}
-	if r.Info().Resolution != 6 {
-		t.Errorf("info %+v", r.Info())
-	}
-	// Every key present in memory must be found on disk with equal records.
-	checked := 0
-	inv.Each(func(k GroupKey, want *CellSummary) bool {
-		s, ok, err := r.Lookup(k)
-		if err != nil {
-			t.Fatalf("lookup %v: %v", k, err)
-		}
-		if !ok {
-			t.Fatalf("key %v missing on disk", k)
-		}
-		if s.Records != want.Records {
-			t.Fatalf("key %v: records %d, want %d", k, s.Records, want.Records)
-		}
-		checked++
-		return checked < 50
-	})
-	// Missing keys return not-found without error.
-	miss := NewGroupKey(GSCell, hexgrid.LatLngToCell(geo.LatLng{Lat: -60, Lng: -60}, 6), 0, 0, 0)
-	if _, ok, err := r.Lookup(miss); err != nil || ok {
-		t.Errorf("missing key: ok=%v err=%v", ok, err)
-	}
-	_ = anchor
 }
 
 func TestFileRejectsCorruption(t *testing.T) {
 	inv, _ := buildTestInventory(t, 6)
-	path := filepath.Join(t.TempDir(), "c.polinv")
-	if err := WriteFile(inv, path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.polinv")); err == nil {
+	if _, _, err := ChecksumFile(filepath.Join(t.TempDir(), "missing.polinv")); err == nil {
 		t.Error("missing file must fail")
 	}
-	data, _ := readAll(t, path)
+	data := Marshal(inv)
 	// Bad magic.
 	bad := append([]byte("XXXXXXXX"), data[8:]...)
-	if _, err := decodeAll(bad); err == nil {
+	if _, err := Unmarshal(bad); err == nil {
 		t.Error("bad magic must fail")
 	}
 	// Truncations at various depths.
 	for _, frac := range []float64{0.1, 0.5, 0.9} {
-		if _, err := decodeAll(data[:int(float64(len(data))*frac)]); err == nil {
+		if _, err := Unmarshal(data[:int(float64(len(data))*frac)]); err == nil {
 			t.Errorf("truncation at %.0f%% must fail", frac*100)
 		}
 	}
-}
-
-func readAll(t *testing.T, path string) ([]byte, error) {
-	t.Helper()
-	data, err := osReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data, nil
 }
 
 func BenchmarkCellSummaryAdd(b *testing.B) {
@@ -571,35 +519,3 @@ func BenchmarkCellSummaryMerge(b *testing.B) {
 		z.Merge(y)
 	}
 }
-
-func BenchmarkInventoryLookupDisk(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	inv := New(BuildInfo{Resolution: 6, RawRecords: 1000})
-	anchor := hexgrid.LatLngToCell(geo.LatLng{Lat: 52, Lng: 4}, 6)
-	var keys []GroupKey
-	for _, c := range hexgrid.GridDisk(anchor, 12) {
-		s := NewCellSummary()
-		s.Add(obs(rng, c, 227000001, 1, 1, 2))
-		k := NewGroupKey(GSCell, c, 0, 0, 0)
-		inv.Put(k, s)
-		keys = append(keys, k)
-	}
-	path := filepath.Join(b.TempDir(), "bench.polinv")
-	if err := WriteFile(inv, path); err != nil {
-		b.Fatal(err)
-	}
-	r, err := Open(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer r.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok, err := r.Lookup(keys[i%len(keys)]); err != nil || !ok {
-			b.Fatal("lookup failed")
-		}
-	}
-}
-
-// osReadFile indirection keeps the corruption test readable.
-func osReadFile(path string) ([]byte, error) { return os.ReadFile(path) }

@@ -2,26 +2,156 @@ package inventory
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"sort"
 )
 
-// Marshal encodes the inventory into the POLINV container format — the same
-// bytes WriteFile persists, usable as a wire representation. The cluster
-// layer ships partial inventories from workers to the coordinator this way,
-// so a map task's result is bit-identical to what the worker would have
-// written to disk.
-func Marshal(inv *Inventory) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Grow(1 << 16)
-	if _, err := writeTo(inv, &buf); err != nil {
-		return nil, err
+// Wire format (POLINV1, little-endian, except keys which are big-endian
+// for sort order):
+//
+//	header:  magic "POLINV1\n" | version u32 | resolution u32 |
+//	         rawRecords u64 | usedRecords u64 | builtUnix u64 |
+//	         descLen u32 | desc bytes | numGroups u64
+//	groups:  numGroups × ( key[18] | summaryLen u32 | summary bytes ),
+//	         sorted by key bytes
+//	index:   numGroups × ( key[18] | offset u64 )  — offset of the group
+//	         entry from the image start
+//	footer:  indexOffset u64 | magic "POLEND1\n"
+//
+// POLINV is an in-memory wire codec only: cluster partials and the
+// /v1/repl/snapshot image travel in it. Every inventory persisted to disk
+// is a POLSEG1 segment (internal/segment). The index and footer are kept
+// so images stay byte-identical to those earlier releases wrote; Unmarshal
+// does not need them.
+
+var (
+	wireMagic   = []byte("POLINV1\n")
+	footerMagic = []byte("POLEND1\n")
+)
+
+const wireVersion = 1
+
+// Marshal encodes the inventory into a POLINV1 image. The cluster layer
+// ships partial inventories from workers to the coordinator this way, and
+// replication serves snapshots in it.
+func Marshal(inv *Inventory) []byte {
+	info := inv.info
+	buf := make([]byte, 0, 1<<16)
+	buf = append(buf, wireMagic...)
+	buf = binary.LittleEndian.AppendUint32(buf, wireVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(info.Resolution))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(info.RawRecords))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(info.UsedRecords))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(info.BuiltUnix))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(info.Description)))
+	buf = append(buf, info.Description...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(inv.Len()))
+
+	type entry struct {
+		key     [keyBytes]byte
+		summary *CellSummary
 	}
-	return buf.Bytes(), nil
+	entries := make([]entry, 0, inv.Len())
+	inv.Each(func(k GroupKey, s *CellSummary) bool {
+		e := entry{summary: s}
+		copy(e.key[:], appendKey(nil, k))
+		entries = append(entries, e)
+		return true
+	})
+	sort.Slice(entries, func(i, j int) bool {
+		return bytes.Compare(entries[i].key[:], entries[j].key[:]) < 0
+	})
+
+	offsets := make([]uint64, len(entries))
+	for i, e := range entries {
+		offsets[i] = uint64(len(buf))
+		// key | body length | body, the length patched in once the body
+		// is encoded in place.
+		buf = append(buf, e.key[:]...)
+		buf = append(buf, 0, 0, 0, 0)
+		at := len(buf)
+		buf = e.summary.AppendBinary(buf)
+		binary.LittleEndian.PutUint32(buf[at-4:], uint32(len(buf)-at))
+	}
+	indexOffset := uint64(len(buf))
+	for i, e := range entries {
+		buf = append(buf, e.key[:]...)
+		buf = binary.LittleEndian.AppendUint64(buf, offsets[i])
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, indexOffset)
+	return append(buf, footerMagic...)
 }
 
-// Unmarshal decodes a POLINV byte image produced by Marshal (or read from a
-// file) into a fresh mutable inventory, validating internal consistency.
+// Unmarshal decodes a POLINV1 image produced by Marshal into a fresh
+// mutable inventory, validating internal consistency.
 func Unmarshal(data []byte) (*Inventory, error) {
-	return decodeAll(data)
+	if len(data) < len(wireMagic)+4 || !bytes.Equal(data[:len(wireMagic)], wireMagic) {
+		return nil, fmt.Errorf("inventory: bad magic")
+	}
+	p := data[len(wireMagic):]
+	need := func(n int) error {
+		if len(p) < n {
+			return fmt.Errorf("inventory: truncated image")
+		}
+		return nil
+	}
+	version := binary.LittleEndian.Uint32(p)
+	p = p[4:]
+	if version != wireVersion {
+		return nil, fmt.Errorf("inventory: unsupported version %d", version)
+	}
+	if err := need(4 + 8 + 8 + 8 + 4); err != nil {
+		return nil, err
+	}
+	var info BuildInfo
+	info.Resolution = int(binary.LittleEndian.Uint32(p))
+	p = p[4:]
+	info.RawRecords = int64(binary.LittleEndian.Uint64(p))
+	p = p[8:]
+	info.UsedRecords = int64(binary.LittleEndian.Uint64(p))
+	p = p[8:]
+	info.BuiltUnix = int64(binary.LittleEndian.Uint64(p))
+	p = p[8:]
+	descLen := int(binary.LittleEndian.Uint32(p))
+	p = p[4:]
+	if err := need(descLen + 8); err != nil {
+		return nil, err
+	}
+	info.Description = string(p[:descLen])
+	p = p[descLen:]
+	numGroups := binary.LittleEndian.Uint64(p)
+	p = p[8:]
+
+	inv := New(info)
+	for i := uint64(0); i < numGroups; i++ {
+		if err := need(keyBytes + 4); err != nil {
+			return nil, err
+		}
+		key, err := decodeKey(p[:keyBytes])
+		if err != nil {
+			return nil, err
+		}
+		p = p[keyBytes:]
+		bodyLen := int(binary.LittleEndian.Uint32(p))
+		p = p[4:]
+		if err := need(bodyLen); err != nil {
+			return nil, err
+		}
+		s, rest, err := DecodeCellSummary(p[:bodyLen])
+		if err != nil {
+			return nil, fmt.Errorf("inventory: group %d: %w", i, err)
+		}
+		if len(rest) != 0 {
+			return nil, fmt.Errorf("inventory: group %d: %d trailing bytes", i, len(rest))
+		}
+		p = p[bodyLen:]
+		inv.Put(key, s)
+	}
+	if err := inv.Validate(); err != nil {
+		return nil, err
+	}
+	return inv, nil
 }
 
 // Equal reports whether two inventories hold exactly the same groups with

@@ -8,10 +8,7 @@ import (
 
 func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	fine, dense := buildFineInventory(t)
-	data, err := Marshal(fine)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := Marshal(fine)
 	back, err := Unmarshal(data)
 	if err != nil {
 		t.Fatal(err)

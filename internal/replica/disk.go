@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,12 +86,7 @@ type DiskReplica struct {
 	mu      sync.Mutex
 	retired *segment.Reader
 
-	// Term high-water mark, persisted in Dir so a restarted disk replica
-	// keeps rejecting a demoted primary. Guarded by hwMu for
-	// raise-and-persist; read lock-free.
-	hwMu   sync.Mutex
-	hwTerm atomic.Uint64
-	hwNode atomic.Uint64
+	termMark // persisted in Dir as pol.term
 
 	syncs          atomic.Int64
 	syncFailures   atomic.Int64
@@ -106,33 +100,12 @@ type DiskReplica struct {
 	lastErr atomic.Pointer[string]
 }
 
-// termPath is where the disk replica persists its term high-water mark.
-func (d *DiskReplica) termPath() string { return filepath.Join(d.opt.Dir, "pol.term") }
-
-// raiseHW lifts the persisted term high-water mark to (term, node) if it
-// beats the current one.
-func (d *DiskReplica) raiseHW(term, node uint64) error {
-	if term == 0 {
-		return nil
-	}
-	d.hwMu.Lock()
-	defer d.hwMu.Unlock()
-	if !ingest.TermBeats(term, node, d.hwTerm.Load(), d.hwNode.Load()) {
-		return nil
-	}
-	if err := writeTermFile(d.termPath(), term, node); err != nil {
-		return fmt.Errorf("replica: persist term high-water: %w", err)
-	}
-	d.hwTerm.Store(term)
-	d.hwNode.Store(node)
-	return nil
-}
-
 // NewDisk builds a disk replica rooted at opt.Dir.
 func NewDisk(opt DiskOptions) (*DiskReplica, error) {
 	opt = opt.withDefaults()
-	if opt.Primary == "" {
-		return nil, fmt.Errorf("replica: primary URL required")
+	endpoints, err := parseEndpoints(opt.Primary)
+	if err != nil {
+		return nil, err
 	}
 	if opt.Dir == "" {
 		return nil, fmt.Errorf("replica: segment dir required")
@@ -140,23 +113,10 @@ func NewDisk(opt DiskOptions) (*DiskReplica, error) {
 	if err := os.MkdirAll(opt.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("replica: %w", err)
 	}
-	var endpoints []string
-	for _, ep := range strings.Split(opt.Primary, ",") {
-		ep = strings.TrimRight(strings.TrimSpace(ep), "/")
-		if ep != "" {
-			endpoints = append(endpoints, ep)
-		}
-	}
-	if len(endpoints) == 0 {
-		return nil, fmt.Errorf("replica: primary URL required")
-	}
 	d := &DiskReplica{opt: opt, segm: segment.NewMetrics(opt.Metrics), endpoints: endpoints}
-	term, node, err := readTermFile(d.termPath())
-	if err != nil {
+	if err := d.openHW(filepath.Join(opt.Dir, "pol.term")); err != nil {
 		return nil, err
 	}
-	d.hwTerm.Store(term)
-	d.hwNode.Store(node)
 	if reg := opt.Metrics; reg != nil {
 		reg.CounterFunc("pol_segment_replica_syncs_total", nil, func() float64 { return float64(d.syncs.Load()) })
 		reg.CounterFunc("pol_segment_replica_sync_failures_total", nil, func() float64 { return float64(d.syncFailures.Load()) })
@@ -263,7 +223,7 @@ func (d *DiskReplica) pickBest(ctx context.Context) (ingest.ReplManifest, string
 			}
 			continue
 		}
-		if ingest.TermBeats(d.hwTerm.Load(), d.hwNode.Load(), rt, rn) {
+		if d.staleHW(rt, rn) {
 			d.fencingRejects.Add(1)
 			if firstErr == nil {
 				firstErr = fmt.Errorf("replica: %s serves term %d below high-water %d", ep, rt, d.hwTerm.Load())

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -48,11 +49,12 @@ func waitCheckpointQuiesce(t *testing.T, eng *ingest.Engine, after int64) int64 
 	}
 }
 
-// fetchInventoryForGen downloads the named generation's inventory file
-// off the repl surface — the ground truth that generation's segment was
-// written from. Anchoring on the generation the replica actually
-// installed (rather than "the newest") keeps the comparison stable even
-// if one more checkpoint lands concurrently.
+// fetchInventoryForGen downloads the named generation's segment whole off
+// the repl checkpoint surface and materializes it — the ground truth the
+// replica's Range-assembled copy must reproduce. Anchoring on the
+// generation the replica actually installed (rather than "the newest")
+// keeps the comparison stable even if one more checkpoint lands
+// concurrently.
 func fetchInventoryForGen(t *testing.T, base string, gen uint64) *inventory.Inventory {
 	t.Helper()
 	get := func(u string) []byte {
@@ -78,7 +80,11 @@ func fetchInventoryForGen(t *testing.T, base string, gen uint64) *inventory.Inve
 		if g.Gen != gen {
 			continue
 		}
-		inv, err := inventory.Unmarshal(get(fmt.Sprintf("%s/v1/repl/checkpoint/%d/%s", base, g.Gen, g.Inv)))
+		path := filepath.Join(t.TempDir(), g.Seg)
+		if err := os.WriteFile(path, get(fmt.Sprintf("%s/v1/repl/checkpoint/%d/%s", base, g.Gen, g.Seg)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		inv, err := segment.Load(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +227,7 @@ func (p *fakeSegPrimary) handler() http.Handler {
 		p.mu.Lock()
 		man := ingest.ReplManifest{Resolution: testRes, Generations: []ingest.ReplGenInfo{{
 			Gen: p.gen, Seg: filepath.Base(p.path), SegCRC: p.crc, SegSize: p.size,
-			Inv: "inv.polinv", State: "state.polstate",
+			State: "state.polstate",
 		}}}
 		p.mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")
@@ -481,4 +487,21 @@ func TestDiskReplicaRunConverges(t *testing.T) {
 		t.Fatalf("Run returned %v, want context.Canceled", err)
 	}
 	requireViewEqual(t, fetchInventoryForGen(t, srv.URL, d.Generation()), d.Inventory(), "via Run")
+}
+
+// TestNewDiskRejectsMalformedEndpoint holds the disk replica to the same
+// endpoint-list validation as the heap replica: an entry url.Parse
+// refuses, or a list with no entry, fails construction.
+func TestNewDiskRejectsMalformedEndpoint(t *testing.T) {
+	for _, primary := range []string{"http://[::1", "http://ok:8080,://missing-scheme", " , "} {
+		opt := testDiskOptions(t, primary)
+		if d, err := NewDisk(opt); err == nil {
+			d.Close()
+			t.Errorf("NewDisk accepted primary %q", primary)
+		}
+		if r, err := New(testOptions(primary)); err == nil {
+			r.Close()
+			t.Errorf("New accepted primary %q", primary)
+		}
+	}
 }

@@ -39,7 +39,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -48,6 +47,7 @@ import (
 	"github.com/patternsoflife/pol/internal/inventory"
 	"github.com/patternsoflife/pol/internal/obs"
 	"github.com/patternsoflife/pol/internal/obs/trace"
+	"github.com/patternsoflife/pol/internal/segment"
 )
 
 // Failpoints armed via POL_FAILPOINTS to drill the fetch path.
@@ -205,13 +205,7 @@ type Replica struct {
 	bootstrapped atomic.Bool
 	lastCaughtUp atomic.Int64 // unix nanos of the last applied==primary poll
 
-	// Term high-water mark: the highest (term, node) pair observed from
-	// any endpoint, persisted to TermPath so it survives restarts. Any
-	// endpoint advertising a lower pair is a stale primary and is never
-	// tailed. hwMu serializes raise-and-persist.
-	hwMu     sync.Mutex
-	hwTerm   atomic.Uint64
-	hwNode   atomic.Uint64
+	termMark               // persisted to TermPath
 	tailTerm atomic.Uint64 // term the current bootstrap/tail session is pinned to
 	promoted atomic.Bool
 
@@ -240,22 +234,9 @@ type promoteReply struct {
 // New builds the replica and its journal-free applier engine.
 func New(opt Options) (*Replica, error) {
 	opt = opt.withDefaults()
-	if opt.Primary == "" {
-		return nil, fmt.Errorf("replica: primary URL required")
-	}
-	var endpoints []string
-	for _, ep := range strings.Split(opt.Primary, ",") {
-		ep = strings.TrimRight(strings.TrimSpace(ep), "/")
-		if ep == "" {
-			continue
-		}
-		if _, err := url.Parse(ep); err != nil {
-			return nil, fmt.Errorf("replica: bad primary URL %q: %w", ep, err)
-		}
-		endpoints = append(endpoints, ep)
-	}
-	if len(endpoints) == 0 {
-		return nil, fmt.Errorf("replica: primary URL required")
+	endpoints, err := parseEndpoints(opt.Primary)
+	if err != nil {
+		return nil, err
 	}
 	eng, err := ingest.NewEngine(ingest.Options{
 		Resolution:    opt.Resolution,
@@ -279,7 +260,7 @@ func New(opt Options) (*Replica, error) {
 		wake:       make(chan struct{}, 1),
 	}
 	r.lastCaughtUp.Store(time.Now().UnixNano())
-	if err := r.loadHW(); err != nil {
+	if err := r.openHW(opt.TermPath); err != nil {
 		eng.Close()
 		return nil, err
 	}
@@ -315,65 +296,6 @@ func New(opt Options) (*Replica, error) {
 // endpoint returns the base URL currently tailed.
 func (r *Replica) endpoint() string { return r.endpoints[r.cur.Load()] }
 
-// readTermFile loads a persisted term high-water mark. A missing file is
-// (0, 0): no term observed yet.
-func readTermFile(path string) (term, node uint64, err error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, 0, nil
-	}
-	if err != nil {
-		return 0, 0, fmt.Errorf("replica: term file: %w", err)
-	}
-	if _, err := fmt.Sscanf(string(data), "POLTERM1\nterm %d node %x", &term, &node); err != nil {
-		return 0, 0, fmt.Errorf("replica: term file %s: malformed: %w", path, err)
-	}
-	return term, node, nil
-}
-
-func writeTermFile(path string, term, node uint64) error {
-	return inventory.AtomicWrite(path, func(w io.Writer) error {
-		_, werr := fmt.Fprintf(w, "POLTERM1\nterm %d node %016x\n", term, node)
-		return werr
-	})
-}
-
-// loadHW restores the persisted term high-water mark, if any.
-func (r *Replica) loadHW() error {
-	if r.opt.TermPath == "" {
-		return nil
-	}
-	term, node, err := readTermFile(r.opt.TermPath)
-	if err != nil {
-		return err
-	}
-	r.hwTerm.Store(term)
-	r.hwNode.Store(node)
-	return nil
-}
-
-// raiseHW lifts the term high-water mark to (term, node) if it beats the
-// current one, persisting the new mark before it takes effect for
-// callers. Safe for concurrent use.
-func (r *Replica) raiseHW(term, node uint64) error {
-	if term == 0 {
-		return nil
-	}
-	r.hwMu.Lock()
-	defer r.hwMu.Unlock()
-	if !ingest.TermBeats(term, node, r.hwTerm.Load(), r.hwNode.Load()) {
-		return nil
-	}
-	if r.opt.TermPath != "" {
-		if err := writeTermFile(r.opt.TermPath, term, node); err != nil {
-			return fmt.Errorf("replica: persist term high-water: %w", err)
-		}
-	}
-	r.hwTerm.Store(term)
-	r.hwNode.Store(node)
-	return nil
-}
-
 // noteResponseTerm folds one response's term claim into the high-water
 // mark. A response below the mark comes from a stale (demoted) primary:
 // it is rejected with errStaleTerm, never applied.
@@ -382,7 +304,7 @@ func (r *Replica) noteResponseTerm(h http.Header) error {
 	if rt == 0 {
 		return nil // pre-term primary; nothing to compare
 	}
-	if ingest.TermBeats(r.hwTerm.Load(), r.hwNode.Load(), rt, rn) {
+	if r.staleHW(rt, rn) {
 		r.fencingRejects.Add(1)
 		return fmt.Errorf("%w: response term %d below high-water %d", errStaleTerm, rt, r.hwTerm.Load())
 	}
@@ -596,7 +518,11 @@ func (r *Replica) bootstrap(ctx context.Context) (err error) {
 		return fmt.Errorf("primary has no checkpoint generation yet")
 	}
 	for _, g := range man.Generations {
-		invData, err := r.fetchCheckpointFile(ctx, g.Gen, g.Inv, g.InvCRC, g.InvSize)
+		if g.Seg == "" {
+			r.logf("replica bootstrap gen %d: generation predates segments; trying older generation", g.Gen)
+			continue
+		}
+		segData, err := r.fetchCheckpointFile(ctx, g.Gen, g.Seg, g.SegCRC, g.SegSize)
 		if err != nil {
 			if errors.Is(err, errGenRotated) {
 				return err
@@ -612,9 +538,9 @@ func (r *Replica) bootstrap(ctx context.Context) (err error) {
 			r.logf("replica bootstrap gen %d: %v; trying older generation", g.Gen, err)
 			continue
 		}
-		inv, err := inventory.Unmarshal(invData)
+		inv, err := r.loadSegment(g.Seg, segData, g.SegCRC)
 		if err != nil {
-			r.logf("replica bootstrap gen %d: inventory decode: %v", g.Gen, err)
+			r.logf("replica bootstrap gen %d: segment decode: %v", g.Gen, err)
 			continue
 		}
 		if err := r.eng.InstallReplicaState(inv, stateData, g.Seq); err != nil {
@@ -759,6 +685,32 @@ func (r *Replica) fetchCheckpointFile(ctx context.Context, gen uint64, name stri
 		}
 	}
 	return body, nil
+}
+
+// loadSegment builds the heap inventory from verified segment bytes
+// through segment.Load, the one decoder of persisted inventories: from the
+// copy fetchCheckpointFile keeps in CacheDir, or from a temp file when
+// there is no cache (or its best-effort write failed).
+func (r *Replica) loadSegment(name string, data []byte, crc uint32) (*inventory.Inventory, error) {
+	if r.opt.CacheDir != "" {
+		path := filepath.Join(r.opt.CacheDir, name)
+		if sum, size, err := inventory.ChecksumFile(path); err == nil && sum == crc && size == int64(len(data)) {
+			return segment.Load(path)
+		}
+	}
+	f, err := os.CreateTemp("", "pol-bootstrap-*.seg")
+	if err != nil {
+		return nil, fmt.Errorf("replica: stage segment: %w", err)
+	}
+	defer os.Remove(f.Name())
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, fmt.Errorf("replica: stage segment: %w", err)
+	}
+	return segment.Load(f.Name())
 }
 
 func (r *Replica) fetchWAL(ctx context.Context, fromSeq uint64, wait time.Duration) ([]ingest.JournalEntry, uint64, error) {
@@ -1186,13 +1138,8 @@ func (r *Replica) SnapshotHandler() http.Handler {
 			http.Error(w, "no snapshot yet", http.StatusServiceUnavailable)
 			return
 		}
-		data, err := inventory.Marshal(snap)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
 		w.Header().Set("Content-Type", "application/octet-stream")
-		_, _ = w.Write(data)
+		_, _ = w.Write(inventory.Marshal(snap))
 	})
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -288,15 +289,24 @@ func (p *pinnedShard) summary(i int) (*inventory.CellSummary, error) {
 	if s := p.sums[i]; s != nil {
 		return s, nil
 	}
-	body := p.blob[p.offs[i]:p.offs[i+1]]
-	s, rest, err := inventory.DecodeCellSummary(body)
+	s, err := p.decode(i)
+	if err != nil {
+		return nil, err
+	}
+	p.sums[i] = s
+	return s, nil
+}
+
+// decode decodes the i-th summary without memoizing; it must consume its
+// whole blob slice.
+func (p *pinnedShard) decode(i int) (*inventory.CellSummary, error) {
+	s, rest, err := inventory.DecodeCellSummary(p.blob[p.offs[i]:p.offs[i+1]])
 	if err != nil {
 		return nil, fmt.Errorf("segment: summary %d: %v: %w", i, err, ErrCorrupt)
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("segment: summary %d: %d trailing bytes: %w", i, len(rest), ErrCorrupt)
 	}
-	p.sums[i] = s
 	return s, nil
 }
 
@@ -622,21 +632,59 @@ func (r *Reader) Utilization() float64 {
 	return float64(len(r.Cells(inventory.GSCell))) / float64(total)
 }
 
-// Load materializes a whole segment into a heap inventory — the bridge
-// for tools (polquery -equal) and tests that need the concrete type.
+// Load materializes a whole segment into a heap inventory. It is the only
+// way a heap inventory is built from disk: checkpoint cold start, heap
+// replica bootstrap, polserve -inv and the offline tools all come through
+// here. Shard blocks are CRC-checked, inflated and decoded on GOMAXPROCS
+// workers while this goroutine Puts them in shard order, so the result
+// does not depend on the worker count and the first error reported is the
+// first in file order.
 func Load(path string) (*inventory.Inventory, error) {
 	r, err := Open(path, Options{})
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
+
+	done := make([]chan decodedBlock, len(r.index))
+	for j := range done {
+		done[j] = make(chan decodedBlock, 1)
+	}
+	var next atomic.Int64 // next index into r.index to claim
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for i := min(runtime.GOMAXPROCS(0), len(r.index)); i > 0; i-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				j := int(next.Add(1)) - 1
+				if j >= len(r.index) {
+					return
+				}
+				done[j] <- r.decodeBlock(&r.index[j])
+			}
+		}()
+	}
+
 	inv := inventory.New(r.Info())
-	err = r.EachGroup(func(k inventory.GroupKey, s *inventory.CellSummary) bool {
-		inv.Put(k, s)
-		return true
-	})
-	if err != nil {
-		return nil, err
+	for j := range done {
+		b := <-done[j]
+		if b.err != nil {
+			return nil, b.err
+		}
+		for g, k := range b.keys {
+			inv.Put(k, b.sums[g])
+		}
 	}
 	if inv.Len() != r.Len() {
 		return nil, fmt.Errorf("segment: materialized %d groups, footer says %d: %w", inv.Len(), r.Len(), ErrCorrupt)
@@ -645,4 +693,31 @@ func Load(path string) (*inventory.Inventory, error) {
 		return nil, fmt.Errorf("segment: %v: %w", err, ErrCorrupt)
 	}
 	return inv, nil
+}
+
+// decodedBlock is one shard block as a Load worker hands it over: every
+// key and summary decoded, in key order.
+type decodedBlock struct {
+	keys []inventory.GroupKey
+	sums []*inventory.CellSummary
+	err  error
+}
+
+// decodeBlock reads, verifies, inflates and fully decodes one block
+// outside the LRU.
+func (r *Reader) decodeBlock(bi *BlockInfo) decodedBlock {
+	p, err := r.loadRaw(bi)
+	if err != nil {
+		return decodedBlock{err: err}
+	}
+	b := decodedBlock{keys: make([]inventory.GroupKey, p.n), sums: make([]*inventory.CellSummary, p.n)}
+	for g := 0; g < p.n; g++ {
+		if b.keys[g], err = inventory.DecodeKey(p.key(g)); err != nil {
+			return decodedBlock{err: fmt.Errorf("segment: shard %d key %d: %v: %w", bi.Shard, g, err, ErrCorrupt)}
+		}
+		if b.sums[g], err = p.decode(g); err != nil {
+			return decodedBlock{err: err}
+		}
+	}
+	return b
 }

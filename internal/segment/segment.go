@@ -1,6 +1,6 @@
 // Package segment implements the POLSEG1 columnar on-disk inventory
 // format: the serving-side answer to the paper's Table-4 compression
-// claim. A segment holds the same groups as a POLINV inventory file, but
+// claim, and the only format inventories are persisted in. A segment is
 // laid out so a server can answer cell and OD queries without loading the
 // inventory into memory:
 //
@@ -54,8 +54,8 @@ import (
 )
 
 // IsSegment reports whether a file beginning with prefix is a POLSEG1
-// columnar segment — the 8-byte magic sniff format-agnostic loaders use
-// to decide between segment.Open and inventory.LoadFile.
+// columnar segment — the 8-byte magic sniff polquery uses to tell a
+// segment from a saved POLINV snapshot image.
 func IsSegment(prefix []byte) bool {
 	return len(prefix) >= len(segMagic) && string(prefix[:len(segMagic)]) == string(segMagic)
 }
@@ -91,7 +91,9 @@ func CRC(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
 
 const (
 	headerFixedLen = 8 + 4 + 4 + 8 + 8 + 8 + 4 // magic..descLen, before desc
-	indexEntryLen  = 2 + 8 + 4 + 4 + 4 + 4 + 3*4
+	// maxInflateRatio bounds a block's raw length by its compressed one.
+	maxInflateRatio = 1032
+	indexEntryLen   = 2 + 8 + 4 + 4 + 4 + 4 + 3*4
 
 	// TailLen is the fixed byte length of the segment tail. A replica
 	// fetches exactly the last TailLen bytes of a remote segment to learn
@@ -189,6 +191,11 @@ func ParseIndex(b []byte, t Tail) ([]BlockInfo, error) {
 		}
 		if bi.NSet[0]+bi.NSet[1]+bi.NSet[2] != bi.NGroups {
 			return nil, fmt.Errorf("segment: block %d set counts: %w", bi.Shard, ErrCorrupt)
+		}
+		// DEFLATE expands at most ~1032:1, so a larger claimed raw length
+		// is damage, and must not size an allocation.
+		if uint64(bi.RawLen) > maxInflateRatio*(uint64(bi.CompLen)+1) {
+			return nil, fmt.Errorf("segment: block %d claims %d raw bytes from %d: %w", bi.Shard, bi.RawLen, bi.CompLen, ErrCorrupt)
 		}
 		prevShard = bi.Shard
 		total += int64(bi.NGroups)

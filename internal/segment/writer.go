@@ -36,9 +36,9 @@ type WriteStats struct {
 }
 
 // WriteFile serializes a frozen inventory view into a POLSEG1 segment at
-// path, via the same atomic temp+fsync+rename path the POLINV writer
-// uses: a crash leaves either the old complete file or the new complete
-// file, never a hybrid.
+// path through inventory.AtomicWrite (temp + fsync + rename): a crash
+// leaves either the old complete file or the new complete file, never a
+// hybrid.
 func WriteFile(v inventory.View, path string) error {
 	_, err := WriteFileSum(v, path)
 	return err

@@ -159,7 +159,10 @@ func DecodeTopN(data []byte) (*TopN, []byte, error) {
 	if n > capacity || uint64(n)*24 > uint64(len(data)) {
 		return nil, nil, ErrCorrupt
 	}
-	t := NewTopN(int(capacity))
+	// Size the table by the entries present, not the declared capacity:
+	// a hostile capacity must not buy a large allocation, and decoded
+	// sketches are mostly far from full.
+	t := &TopN{capacity: int(capacity), counters: make(map[uint64]*ssCounter, n)}
 	for i := uint32(0); i < n; i++ {
 		var key, count, errBound uint64
 		if key, data, err = readU64(data); err != nil {

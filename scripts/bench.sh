@@ -27,9 +27,9 @@ cleanup() {
 }
 trap cleanup EXIT
 go build -o "$tmp" ./cmd/polbuild ./cmd/polserve ./cmd/polload
-"$tmp/polbuild" -synthetic -vessels 30 -days 15 -out "$tmp/fleet.polinv"
+"$tmp/polbuild" -synthetic -vessels 30 -days 15 -out "$tmp/fleet.polseg"
 addr="127.0.0.1:$((18600 + $$ % 100))"
-"$tmp/polserve" -inv "$tmp/fleet.polinv" -addr "$addr" >"$tmp/serve.log" 2>&1 &
+"$tmp/polserve" -inv "$tmp/fleet.polseg" -addr "$addr" >"$tmp/serve.log" 2>&1 &
 pid=$!
 sleep 0.5
 "$tmp/polload" -targets "http://$addr" -rate 300 -duration 10s -seed 1 \

@@ -29,6 +29,10 @@ go test -run='^$' -bench=Publish -benchtime=1x ./internal/inventory/
 echo "== benchmark smoke (segment write/open/lookup round trip) =="
 go test -run='^$' -bench=Segment -benchtime=1x ./internal/segment/
 
+echo "== fuzz smoke (checkpoint manifest lines, segment load) =="
+go test -run='^$' -fuzz='^FuzzParseManifestLine$' -fuzztime=10s ./internal/ingest/
+go test -run='^$' -fuzz='^FuzzSegmentLoad$' -fuzztime=10s ./internal/segment/
+
 echo "== cluster e2e smoke (loopback coordinator + 2 workers, 1 killed) =="
 ./scripts/cluster_e2e.sh
 

@@ -31,7 +31,7 @@ go build -o "$tmp" ./cmd/polbuild ./cmd/polworker ./cmd/polgen ./cmd/polquery
 addr="127.0.0.1:$((7900 + $$ % 100))"
 
 "$tmp/polbuild" -synthetic -vessels 16 -days 4 -res 6 \
-	-out "$tmp/local.polinv" >"$tmp/local.log" 2>&1
+	-out "$tmp/local.polseg" >"$tmp/local.log" 2>&1
 
 "$tmp/polworker" -coordinator "$addr" -v >"$tmp/w1.log" 2>&1 &
 w1=$!
@@ -40,7 +40,7 @@ w2=$!
 
 "$tmp/polbuild" -synthetic -vessels 16 -days 4 -res 6 \
 	-coordinator "$addr" -workers 2 -v \
-	-out "$tmp/dist.polinv" >"$tmp/dist.log" 2>&1 || {
+	-out "$tmp/dist.polseg" >"$tmp/dist.log" 2>&1 || {
 	echo "distributed build failed:"
 	cat "$tmp/dist.log"
 	exit 1
@@ -102,7 +102,7 @@ addr2="127.0.0.1:$((8100 + $$ % 100))"
 # canonical merge order), so the local reference build uses 8 partitions to
 # match -reduce-tasks 8 below.
 "$tmp/polbuild" -in "$tmp/fleet.nmea" -res 6 -parallelism 8 \
-	-out "$tmp/arc-local.polinv" >"$tmp/arc-local.log" 2>&1
+	-out "$tmp/arc-local.polseg" >"$tmp/arc-local.log" 2>&1
 
 "$tmp/polworker" -coordinator "$addr2" -v >"$tmp/p1.log" 2>&1 &
 w1=$!
@@ -117,7 +117,7 @@ w4=$!
 "$tmp/polbuild" -in "$tmp/fleet.nmea" -res 6 \
 	-coordinator "$addr2" -workers 4 -map-tasks 12 -reduce-tasks 8 \
 	-shuffle peer -v \
-	-out "$tmp/arc-dist.polinv" >"$tmp/arc-dist.log" 2>&1 || {
+	-out "$tmp/arc-dist.polseg" >"$tmp/arc-dist.log" 2>&1 || {
 	echo "4-worker peer-shuffle build failed:"
 	cat "$tmp/arc-dist.log"
 	exit 1
@@ -143,7 +143,7 @@ if [ -z "$reassigned" ] || [ "$reassigned" -lt 1 ]; then
 	exit 1
 fi
 
-"$tmp/polquery" -inv "$tmp/arc-local.polinv" -equal "$tmp/arc-dist.polinv" || {
+"$tmp/polquery" -inv "$tmp/arc-local.polseg" -equal "$tmp/arc-dist.polseg" || {
 	echo "peer-shuffle build diverged from single-process build"
 	exit 1
 }

@@ -17,8 +17,9 @@
 #      -server -trace invocation prints the primary's span tree;
 #   6. start a disk-backed replica (-segdir): it mirrors the primary's
 #      newest checkpoint segment over Range requests, serves it off disk,
-#      and its segment file must be bit-identical (cross-format polquery
-#      -equal) to the heap inventory of the same checkpoint generation.
+#      and its segment file must equal the primary's whole-file download
+#      of the same generation (/v1/repl/segment/$gen), both as inventories
+#      (polquery -equal) and byte for byte (cmp).
 #
 # Run from the repository root:
 #
@@ -232,20 +233,23 @@ while :; do
 	sleep 0.1
 done
 
-# Resolve that generation's file names from the manifest and compare the
-# mirrored on-disk segment against the heap checkpoint inventory — the
-# cross-format bit-exactness the segment store promises.
+# Resolve that generation's segment name from the manifest and compare the
+# Range-assembled mirror against the primary's whole-file download of the
+# same generation — as inventories and byte for byte.
 genline="$("$tmp/polfeed" -get "http://$phttp/v1/repl/manifest" |
 	tr -d '\n' | tr '{' '\n' | grep '"gen": *'"$gen"'[,}]' | head -1)"
-inv_name="$(printf '%s' "$genline" | sed -n 's/.*"inv": *"\([^"]*\)".*/\1/p')"
 seg_name="$(printf '%s' "$genline" | sed -n 's/.*"seg": *"\([^"]*\)".*/\1/p')"
-if [ -z "$inv_name" ] || [ -z "$seg_name" ]; then
+if [ -z "$seg_name" ]; then
 	echo "could not resolve generation $gen in the primary manifest"
 	exit 1
 fi
-"$tmp/polfeed" -get "http://$phttp/v1/repl/checkpoint/$gen/$inv_name" >"$tmp/ckpt.polinv"
-"$tmp/polquery" -inv "$tmp/ckpt.polinv" -equal "$tmp/segdir/$seg_name" || {
+"$tmp/polfeed" -get "http://$phttp/v1/repl/segment/$gen" >"$tmp/ckpt.polseg"
+"$tmp/polquery" -inv "$tmp/ckpt.polseg" -equal "$tmp/segdir/$seg_name" || {
 	echo "disk replica segment diverged from checkpoint generation $gen"
+	exit 1
+}
+cmp "$tmp/ckpt.polseg" "$tmp/segdir/$seg_name" || {
+	echo "disk replica segment is not byte-identical to checkpoint generation $gen"
 	exit 1
 }
 # And the disk replica answers queries over HTTP like any serving mode.
